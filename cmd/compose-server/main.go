@@ -58,7 +58,7 @@ func main() {
 		engine  = flag.String("engine", "oestm", "engine to serve: oestm, lsa, tl2, swisstm, estm")
 		shards  = flag.Int("shards", store.DefaultShards, "shard count (power of two)")
 		cmName  = flag.String("cm", cm.DefaultName, "contention-management policy per connection: "+strings.Join(cm.Names(), "|"))
-		retries = flag.Int("max-retries", 0, "bound composed-request transaction retries (0 = unlimited; exhaustion returns a typed error)")
+		retries = flag.Int("max-retries", 0, "bound the transaction retries of each composed request — mget, mput, cam, add, madd — with -exec=conn (0 = unlimited; exhaustion returns a typed error; -exec=batch commits per shard serially and needs no bound)")
 		unsound = flag.Bool("unsound", false, "split composed operations into separate transactions (atomicity deliberately broken)")
 		boost   = flag.String("boost", "auto", "commutative hot-key path for add/madd: off (read-modify-write control), auto (promote keys whose add stream aborts), on (boost every add)")
 		drain   = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget before connections are closed hard")

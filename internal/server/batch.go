@@ -1,9 +1,7 @@
 package server
 
 import (
-	"io"
 	"sync"
-	"time"
 
 	"oestm/internal/cm"
 	"oestm/internal/specexec"
@@ -78,281 +76,91 @@ func newBatchEngine(s *Server, workers, maxBatch int) (*batchEngine, error) {
 // results and the applier's sticky WAL error are ordered after the
 // commit.
 func (b *batchEngine) done(t specexec.Txn) {
-	tk := t.(*task)
-	if tk.c.pending.Add(-1) == 0 {
-		tk.c.doneCh <- struct{}{}
+	c := t.(*request).c
+	if c.pending.Add(-1) == 0 {
+		c.doneCh <- struct{}{}
 	}
 }
 
-// mergeInto folds the applier threads' transaction counters into a
-// stats payload.
-func (b *batchEngine) mergeInto(p *wire.StatsPayload) {
+// threadStats returns the applier threads' transaction counters as of
+// the last completed batch.
+func (b *batchEngine) threadStats() stm.Stats {
 	b.mu.Lock()
-	p.Commits += b.stm.Commits
-	p.Aborts += b.stm.Aborts
-	for i := range b.stm.AbortsByCause {
-		p.AbortsByCause[i] += b.stm.AbortsByCause[i]
-	}
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	return b.stm
 }
 
-// task is one request of a burst: the decoded arguments (copied — the
-// connection's decode scratch is reused frame to frame) and the result
-// fields its Speculate attempts fill. Tasks are pooled per connection
-// and reused burst to burst.
-type task struct {
-	c  *conn
-	op wire.Op
-
-	key, to, val int64
-	keys, vals   []int64
-
-	// decoded is false for an undecodable frame (errCode carries the
-	// typed error); such tasks never reach the executor and are not
-	// counted in per-op telemetry, matching conn mode.
-	decoded bool
-	// submitted marks tasks the executor runs; Stats/Ping and
-	// pre-resolved errors are answered on the connection's goroutine.
-	submitted bool
-	errCode   wire.ErrCode
-	errMsg    string
-
-	// Results of the last (committed) attempt.
-	flag    bool
-	rval    int64
-	rvals   []int64
-	present []bool
-}
-
-// Speculate maps the request onto the batch view, mirroring the conn
-// path's semantics exactly: same flags, same values, same writes — so
-// batch and conn mode are byte-identical on the wire. Re-run per
-// incarnation; every field it writes is derived from view reads alone.
-func (t *task) Speculate(v *specexec.View) {
-	switch t.op {
+// Speculate maps the request onto the batch view, mirroring conn.exec's
+// semantics exactly: same flags, same values, same writes — so batch and
+// conn mode are byte-identical on the wire. Re-run per incarnation; every
+// field it writes is derived from view reads alone.
+func (t *request) Speculate(v *specexec.View) {
+	q, r := &t.req, &t.resp
+	switch q.Op {
 	case wire.OpGet:
-		t.rval, t.flag = v.Read(t.key)
+		var ok bool
+		r.Val, ok = v.Read(q.Key)
+		r.Status = wire.StatusOK
+		if !ok {
+			r.Status = wire.StatusNotFound
+		}
 	case wire.OpPut:
-		_, existed := v.Read(t.key)
-		v.Write(t.key, t.val)
-		t.flag = existed
+		_, r.Flag = v.Read(q.Key)
+		v.Write(q.Key, q.Val)
 	case wire.OpRemove:
-		val, ok := v.Read(t.key)
-		if ok {
+		if r.Val, r.Flag = v.Read(q.Key); r.Flag {
 			// A miss mutates nothing and writes no record, like
 			// Frame.Remove.
-			v.Delete(t.key)
+			v.Delete(q.Key)
 		}
-		t.rval, t.flag = val, ok
 	case wire.OpCompareAndMove:
-		t.flag = false
-		if t.key == t.to {
+		r.Flag = false
+		if q.Key == q.To {
 			return
 		}
-		val, ok := v.Read(t.key)
-		if !ok || val != t.val || v.Aborted() {
+		val, ok := v.Read(q.Key)
+		if !ok || val != q.Val || v.Aborted() {
 			return
 		}
-		if _, occupied := v.Read(t.to); occupied || v.Aborted() {
+		if _, occupied := v.Read(q.To); occupied || v.Aborted() {
 			return
 		}
-		v.Delete(t.key)
-		v.Write(t.to, val)
-		t.flag = true
+		v.Delete(q.Key)
+		v.Write(q.To, val)
+		r.Flag = true
 	case wire.OpMGet:
-		t.rvals = t.rvals[:0]
-		t.present = t.present[:0]
-		for _, k := range t.keys {
+		r.Vals, r.Present = r.Vals[:0], r.Present[:0]
+		for _, k := range q.Keys {
 			if v.Aborted() {
 				return
 			}
 			val, ok := v.Read(k)
-			t.rvals = append(t.rvals, val)
-			t.present = append(t.present, ok)
+			r.Vals = append(r.Vals, val)
+			r.Present = append(r.Present, ok)
 		}
 	case wire.OpMPut:
-		for i, k := range t.keys {
-			v.Write(k, t.vals[i])
+		for i, k := range q.Keys {
+			v.Write(k, q.Vals[i])
 		}
 	case wire.OpAdd:
 		// Blind delta: no read, so same-key adds across the batch can
 		// never invalidate each other — the commutativity win the hot-key
 		// path buys conn mode shows up here as zero validation fails.
-		v.Add(t.key, t.val)
+		v.Add(q.Key, q.Val)
 	case wire.OpMAdd:
-		for i, k := range t.keys {
-			v.Add(k, t.vals[i])
+		for i, k := range q.Keys {
+			v.Add(k, q.Vals[i])
 		}
 	}
 }
 
-// decode parses one frame body into the task, copying every slice out
-// of the connection's reusable request scratch, and classifies it:
-// executor-bound, connection-resolved (Stats/Ping), or a pre-resolved
-// typed error (undecodable body, reserved key).
-func (t *task) decode(c *conn, body []byte) {
-	t.errCode, t.errMsg = 0, ""
-	t.decoded, t.submitted = false, false
-	if err := c.req.Decode(body); err != nil {
-		pe, _ := wire.IsProtocolError(err)
-		t.errCode, t.errMsg = pe.Code, pe.Msg
-		return
-	}
-	t.decoded = true
-	t.op = c.req.Op
-	t.key, t.to, t.val = c.req.Key, c.req.To, c.req.Val
-	t.keys = append(t.keys[:0], c.req.Keys...)
-	t.vals = append(t.vals[:0], c.req.Vals...)
-	switch t.op {
-	case wire.OpGet, wire.OpPut, wire.OpRemove, wire.OpAdd:
-		if !store.ValidKey(t.key) {
-			t.errCode, t.errMsg = wire.ErrKeyRange, "reserved key"
-			return
-		}
-		t.submitted = true
-	case wire.OpCompareAndMove:
-		if !store.ValidKey(t.key) || !store.ValidKey(t.to) {
-			t.errCode, t.errMsg = wire.ErrKeyRange, "reserved key"
-			return
-		}
-		t.submitted = true
-	case wire.OpMGet, wire.OpMPut, wire.OpMAdd:
-		for _, k := range t.keys {
-			if !store.ValidKey(k) {
-				t.errCode, t.errMsg = wire.ErrKeyRange, "reserved key"
-				return
-			}
-		}
-		t.submitted = true
-	case wire.OpStats, wire.OpPing:
-		// Resolved at encode time on the connection's goroutine; they
-		// touch no keys, so they take no batch slot.
-	}
-}
-
-// appendResponse encodes the task's response body, identical to what
-// conn-mode serve would have produced. werr is the applier's sticky
-// WAL error, read after the burst's batches finished.
-func (t *task) appendResponse(dst []byte, c *conn, werr error) []byte {
-	if t.errCode != 0 {
-		return wire.AppendError(dst, t.errCode, t.errMsg)
-	}
-	r := &c.resp
-	*r = wire.Response{Present: r.Present[:0], Vals: r.Vals[:0], Stats: r.Stats[:0], Status: wire.StatusOK}
-	switch t.op {
-	case wire.OpGet:
-		if !t.flag {
-			r.Status = wire.StatusNotFound
-		}
-		r.Val = t.rval
-	case wire.OpPut:
-		r.Flag = t.flag
-	case wire.OpRemove:
-		r.Val, r.Flag = t.rval, t.flag
-	case wire.OpCompareAndMove:
-		r.Flag = t.flag
-	case wire.OpMGet:
-		r.Vals = append(r.Vals, t.rvals...)
-		r.Present = append(r.Present, t.present...)
-	case wire.OpMPut, wire.OpAdd, wire.OpMAdd:
-		// Status-only responses.
-	case wire.OpStats:
-		var p wire.StatsPayload
-		c.srv.statsPayload(&p)
-		r.Stats = wire.AppendStats(r.Stats, &p)
-	case wire.OpPing:
-		if c.srv.draining.Load() {
-			return wire.AppendError(dst, wire.ErrShuttingDown, "draining")
-		}
-	}
-	if werr != nil {
-		switch t.op {
-		case wire.OpPut, wire.OpRemove, wire.OpCompareAndMove, wire.OpMPut, wire.OpAdd, wire.OpMAdd:
-			return wire.AppendError(dst, wire.ErrDurability, werr.Error())
-		}
-	}
-	return wire.AppendResponse(dst, t.op, r)
-}
-
-// task returns the i'th pooled task, growing the pool as needed.
-func (c *conn) task(i int) *task {
-	for len(c.tasks) <= i {
-		c.tasks = append(c.tasks, &task{c: c})
-	}
-	return c.tasks[i]
-}
-
-// handleBatch is the batch-mode request loop: read a whole pipelined
-// burst (one blocking frame, then every complete frame already
-// buffered), submit it to the executor as one unit, wait for the
-// batch(es) to commit, then answer every request in arrival order. The
-// burst boundary is what turns client pipelining into server
-// parallelism — a pipeline depth of one degenerates to solo batches.
-//
-// Drain semantics match conn mode: Shutdown's read deadline interrupts
-// the next blocking read, never a burst in flight — the executor always
-// completes submitted batches, so the handler wakes, answers, and only
-// then sees the deadline.
-func (c *conn) handleBatch() {
-	defer func() {
-		c.bw.Flush()
-		c.nc.Close()
-		c.srv.retire(c)
-	}()
-	for {
-		body, err := wire.ReadFrame(c.br, c.in[:0], c.srv.cfg.MaxBody)
-		c.in = body[:cap(body)]
-		if err != nil {
-			if err == io.EOF {
-				return // clean close
-			}
-			if pe, ok := wire.IsProtocolError(err); ok {
-				c.out = wire.AppendError(c.out[:0], pe.Code, pe.Msg)
-				if wire.WriteFrame(c.bw, c.out) == nil {
-					c.bw.Flush()
-				}
-			}
-			return
-		}
-		start := time.Now()
-		n := 0
-		var fatal *wire.ProtocolError
-		abort := false
-		for {
-			c.task(n).decode(c, body)
-			n++
-			if !c.nextFrameBuffered() {
-				break
-			}
-			body, err = wire.ReadFrame(c.br, c.in[:0], c.srv.cfg.MaxBody)
-			c.in = body[:cap(body)]
-			if err != nil {
-				// The frame was complete in the buffer, so only an
-				// oversized announcement can land here; answer the
-				// burst collected so far, then the typed error, then
-				// close (framing is lost).
-				fatal, _ = wire.IsProtocolError(err)
-				abort = true
-				break
-			}
-		}
-		c.runBurst(n)
-		if !c.writeBurst(n, start, fatal) {
-			return
-		}
-		if abort {
-			return
-		}
-	}
-}
-
-// runBurst submits the burst's executor-bound tasks as one unit and
+// runBurst submits the burst's store-bound requests as one unit and
 // blocks until every one of them committed.
 func (c *conn) runBurst(n int) {
 	c.burst = c.burst[:0]
-	for i := 0; i < n; i++ {
-		if c.tasks[i].submitted {
-			c.burst = append(c.burst, c.tasks[i])
+	for _, t := range c.reqs[:n] {
+		if t.runs {
+			c.burst = append(c.burst, t)
 		}
 	}
 	if len(c.burst) == 0 {
@@ -364,44 +172,4 @@ func (c *conn) runBurst(n int) {
 	for i := range c.burst {
 		c.burst[i] = nil
 	}
-}
-
-// writeBurst encodes and writes the burst's responses in arrival order,
-// flushes unless the next burst is already buffered, and publishes
-// telemetry. Returns false when the connection should close.
-func (c *conn) writeBurst(n int, start time.Time, fatal *wire.ProtocolError) bool {
-	werr := c.srv.batch.applier.WALErr()
-	c.out = c.out[:0]
-	for i := 0; i < n; i++ {
-		mark := len(c.out)
-		c.out = c.tasks[i].appendResponse(wire.BeginFrame(c.out), c, werr)
-		if wire.FinishFrame(c.out[mark:]) != nil {
-			c.out = wire.AppendError(wire.BeginFrame(c.out[:mark]), wire.ErrFrameTooLarge, "response exceeds frame limit")
-			if wire.FinishFrame(c.out[mark:]) != nil {
-				return false
-			}
-		}
-	}
-	if fatal != nil {
-		mark := len(c.out)
-		c.out = wire.AppendError(wire.BeginFrame(c.out), fatal.Code, fatal.Msg)
-		if wire.FinishFrame(c.out[mark:]) != nil {
-			return false
-		}
-	}
-	if _, err := c.bw.Write(c.out); err != nil {
-		return false
-	}
-	if !c.nextFrameBuffered() {
-		if c.bw.Flush() != nil {
-			return false
-		}
-	}
-	d := time.Since(start)
-	for i := 0; i < n; i++ {
-		if c.tasks[i].decoded {
-			c.stats.publish(c.tasks[i].op, d, c.th)
-		}
-	}
-	return true
 }

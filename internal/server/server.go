@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -16,7 +15,6 @@ import (
 	"oestm/internal/cm"
 	"oestm/internal/obs"
 	"oestm/internal/specexec"
-	"oestm/internal/stats"
 	"oestm/internal/stm"
 	"oestm/internal/store"
 	"oestm/internal/wal"
@@ -38,10 +36,15 @@ type Config struct {
 	// thread (internal/cm; empty = cm.DefaultName).
 	CM string
 	// MaxRetries, when non-zero, bounds the transaction attempts of each
-	// composed request (MGet/MPut/CompareAndMove); exhaustion returns
+	// composed conn-mode request (MGet, MPut, CompareAndMove, Add, MAdd —
+	// and their split pieces under Unsound); exhaustion returns
 	// ErrRetryExhausted to the client instead of retrying forever — a
 	// liveness guard for unsound/ablation setups (store.Frame.SetBudget
-	// explains why elementary requests are never bounded).
+	// explains why elementary requests are never bounded). It is not
+	// applied to the batch executor's applier threads: speculation runs
+	// no engine transactions, and a shard's commit job is the only writer
+	// of its shard (reads happen in a disjoint phase), so its apply
+	// transactions have nothing to conflict with and need no bound.
 	MaxRetries int
 	// Unsound builds the store in unsound mode (composed operations split
 	// into separate transactions — the checker-validation baseline).
@@ -106,7 +109,7 @@ type Server struct {
 	draining atomic.Bool
 
 	// retired accumulates the telemetry of closed connections.
-	retired connStats
+	retired opStats
 
 	// flight samples abort-suffering requests for /debug/aborts.
 	flight *obs.FlightRecorder
@@ -342,39 +345,47 @@ func (s *Server) closeBatch() {
 	}
 }
 
-// connStats is the telemetry one connection publishes: per-opcode counts
-// and server-side latency histograms, plus a snapshot of the thread's
-// transaction counters. Guarded by mu; the handler publishes after each
-// request, the stats endpoint reads from any connection's goroutine.
+// opStats is per-opcode request counts and server-side latency histograms
+// plus a snapshot of transaction counters — one connection's telemetry,
+// or the sum over the closed ones.
+type opStats struct {
+	ops [wire.NumOps]wire.OpTelemetry
+	stm stm.Stats
+}
+
+// connStats is the telemetry one connection publishes. Guarded by mu; the
+// handler publishes after each request, the stats endpoint reads from any
+// connection's goroutine.
 type connStats struct {
-	mu     sync.Mutex
-	counts [wire.NumOps]uint64
-	hists  [wire.NumOps]stats.Histogram
-	stm    stm.Stats
+	mu sync.Mutex
+	opStats
 }
 
 // publish records one handled request and refreshes the thread snapshot.
 func (cs *connStats) publish(op wire.Op, d time.Duration, th *stm.Thread) {
 	cs.mu.Lock()
-	cs.counts[op]++
-	cs.hists[op].Record(d)
+	cs.ops[op].Count++
+	cs.ops[op].Hist.Record(d)
 	cs.stm = th.Stats
 	cs.mu.Unlock()
 }
 
-// mergeInto folds the stats into a payload under the lock.
-func (cs *connStats) mergeInto(p *wire.StatsPayload) {
+// mergeInto folds the per-opcode stats into ops under the lock and
+// returns the transaction counters for the caller to add where it keeps
+// them.
+func (cs *connStats) mergeInto(ops *[wire.NumOps]wire.OpTelemetry) stm.Stats {
 	cs.mu.Lock()
-	for i := range cs.counts {
-		p.Ops[i].Count += cs.counts[i]
-		p.Ops[i].Hist.Merge(&cs.hists[i])
+	defer cs.mu.Unlock()
+	mergeOps(ops, &cs.ops)
+	return cs.stm
+}
+
+// mergeOps adds src's counts and histograms into dst.
+func mergeOps(dst, src *[wire.NumOps]wire.OpTelemetry) {
+	for i := range src {
+		dst[i].Count += src[i].Count
+		dst[i].Hist.Merge(&src[i].Hist)
 	}
-	p.Commits += cs.stm.Commits
-	p.Aborts += cs.stm.Aborts
-	for i := range cs.stm.AbortsByCause {
-		p.AbortsByCause[i] += cs.stm.AbortsByCause[i]
-	}
-	cs.mu.Unlock()
 }
 
 // statsPayload merges the telemetry of every connection, live and
@@ -406,7 +417,7 @@ func (s *Server) statsPayload(p *wire.StatsPayload) {
 		p.SpecExecs = ss.Execs
 		p.SpecReexecs = ss.Reexecs
 		p.SpecValidationFails = ss.ValidationFails
-		s.batch.mergeInto(p)
+		p.AddSTM(s.batch.threadStats())
 	}
 	// Per-shard telemetry: the store's padded per-shard counters plus the
 	// WAL's per-shard byte counters (zero without a log).
@@ -424,9 +435,10 @@ func (s *Server) statsPayload(p *wire.StatsPayload) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p.Conns = len(s.conns)
-	s.retired.mergeInto(p)
+	mergeOps(&p.Ops, &s.retired.ops)
+	p.AddSTM(s.retired.stm)
 	for c := range s.conns {
-		c.stats.mergeInto(p)
+		p.AddSTM(c.stats.mergeInto(&p.Ops))
 	}
 }
 
@@ -437,18 +449,71 @@ func (s *Server) retire(c *conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.conns, c)
-	c.stats.mu.Lock()
-	counts := c.stats.counts
-	hists := c.stats.hists
-	snap := c.stats.stm
-	c.stats.mu.Unlock()
-	s.retired.mu.Lock()
-	for i := range counts {
-		s.retired.counts[i] += counts[i]
-		s.retired.hists[i].Merge(&hists[i])
+	s.retired.stm.Add(c.stats.mergeInto(&s.retired.ops))
+}
+
+// request is one request in flight: the decoded arguments and the
+// response its execution fills — conn.exec against the connection's
+// frame in conn mode, Speculate attempts against the batch view in batch
+// mode (see batch.go). Requests are pooled per connection and reused, so
+// the slices inside req and resp are the steady state's only buffers.
+type request struct {
+	c    *conn
+	req  wire.Request
+	resp wire.Response
+
+	// decoded is false for an undecodable frame; such requests are not
+	// counted in per-op telemetry.
+	decoded bool
+	// runs marks requests that execute against the store; Stats, Ping
+	// and pre-resolved errors are answered at encode time.
+	runs bool
+}
+
+// mutating marks the opcodes that change the store: the ones a sticky
+// WAL error turns into durability errors.
+var mutating = [wire.NumOps]bool{
+	wire.OpPut: true, wire.OpRemove: true, wire.OpCompareAndMove: true,
+	wire.OpMPut: true, wire.OpAdd: true, wire.OpMAdd: true,
+}
+
+// validKeys checks every key a request names against the store's
+// reserved sentinels — the protocol boundary's one key check. Decode
+// zeroes the fields an opcode does not carry, so no opcode switch is
+// needed.
+func validKeys(q *wire.Request) bool {
+	for _, k := range q.Keys {
+		if !store.ValidKey(k) {
+			return false
+		}
 	}
-	s.retired.stm.Add(snap)
-	s.retired.mu.Unlock()
+	return store.ValidKey(q.Key) && store.ValidKey(q.To)
+}
+
+// fail turns r into a typed error response.
+func fail(r *wire.Response, code wire.ErrCode, msg string) {
+	r.Status, r.Err, r.Msg = wire.StatusErr, code, msg
+}
+
+// decode parses one frame body into t and classifies it: store-bound
+// (t.runs), connection-resolved (Stats/Ping — they touch no keys), or a
+// pre-resolved typed error (undecodable body, reserved key). The frame
+// was consumed whole either way, so framing is intact and the connection
+// keeps serving.
+func (t *request) decode(body []byte) {
+	r := &t.resp
+	*r = wire.Response{Present: r.Present[:0], Vals: r.Vals[:0], Stats: r.Stats[:0], Status: wire.StatusOK}
+	err := t.req.Decode(body)
+	t.decoded, t.runs = err == nil, false
+	switch {
+	case err != nil:
+		pe, _ := wire.IsProtocolError(err)
+		fail(r, pe.Code, pe.Msg)
+	case !validKeys(&t.req):
+		fail(r, wire.ErrKeyRange, "reserved key")
+	default:
+		t.runs = t.req.Op != wire.OpStats && t.req.Op != wire.OpPing
+	}
 }
 
 // conn is one connection's context: its goroutine owns every field
@@ -462,19 +527,16 @@ type conn struct {
 	th *stm.Thread
 	fr *store.Frame
 
-	req  wire.Request
-	resp wire.Response
-	in   []byte // frame-read buffer
-	out  []byte // response-encode buffer
+	in  []byte // frame-read buffer
+	out []byte // response-encode buffer
 
-	// MGet scratch, sized to the largest request seen.
-	vals []int64
-	oks  []bool
+	// reqs is the request pool: conn mode serves reqs[0] over and over,
+	// batch mode fills one entry per request of the current burst.
+	reqs []*request
 
-	// Batch-mode state (srv.batch != nil): the pooled tasks of the
-	// current burst, the submission scratch, and the completion signal
-	// the executor's Done callback drives (see batch.go).
-	tasks   []*task
+	// Batch-mode state (srv.batch != nil): the submission scratch and the
+	// completion signal the executor's Done callback drives (see
+	// batch.go).
 	burst   []specexec.Txn
 	pending atomic.Int32
 	doneCh  chan struct{}
@@ -512,192 +574,56 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return c
 }
 
-// handle is the connection's request loop.
-func (c *conn) handle() {
-	if c.srv.batch != nil {
-		c.handleBatch()
-		return
+// slot returns the i'th pooled request, growing the pool as needed.
+func (c *conn) slot(i int) *request {
+	for len(c.reqs) <= i {
+		c.reqs = append(c.reqs, &request{c: c})
 	}
-	defer func() {
-		c.bw.Flush()
-		c.nc.Close()
-		c.srv.retire(c)
-	}()
-	for {
-		body, err := wire.ReadFrame(c.br, c.in[:0], c.srv.cfg.MaxBody)
-		c.in = body[:cap(body)]
-		if err != nil {
-			if err == io.EOF {
-				return // clean close
-			}
-			if pe, ok := wire.IsProtocolError(err); ok {
-				// Framing is lost (oversized announcement or mid-frame
-				// end of stream): answer with the typed error, then
-				// close — never leave the peer hanging.
-				c.out = wire.AppendError(c.out[:0], pe.Code, pe.Msg)
-				if wire.WriteFrame(c.bw, c.out) == nil {
-					c.bw.Flush()
-				}
-				return
-			}
-			// Read interrupted (drain deadline) or connection error.
-			return
-		}
-		start := time.Now()
-		ab0 := c.th.Stats.Aborts
-		decoded := true
-		if derr := c.req.Decode(body); derr != nil {
-			// The frame was consumed whole; framing is intact, so report
-			// and keep serving.
-			decoded = false
-			pe, _ := wire.IsProtocolError(derr)
-			c.out = wire.AppendError(wire.BeginFrame(c.out[:0]), pe.Code, pe.Msg)
-		} else {
-			c.out = c.serve(wire.BeginFrame(c.out[:0]))
-		}
-		if wire.FinishFrame(c.out) != nil {
-			// The encoded response outgrew a frame (a stats payload can,
-			// in principle): replace it with a typed error.
-			c.out = wire.AppendError(wire.BeginFrame(c.out[:0]), wire.ErrFrameTooLarge, "response exceeds frame limit")
-			if wire.FinishFrame(c.out) != nil {
-				return
-			}
-		}
-		if _, err := c.bw.Write(c.out); err != nil {
-			return
-		}
-		// Flush once per pipelined burst: only when no complete frame is
-		// already buffered. Completeness matters — a buffered header (or
-		// partial body) whose peer is waiting for this response before
-		// sending the rest must not suppress the flush, or both sides
-		// deadlock.
-		if !c.nextFrameBuffered() {
-			if c.bw.Flush() != nil {
-				return
-			}
-		}
-		if decoded {
-			elapsed := time.Since(start)
-			c.stats.publish(c.req.Op, elapsed, c.th)
-			if aborts := c.th.Stats.Aborts - ab0; aborts != 0 {
-				c.recordAbort(aborts, elapsed)
-			}
-		}
-	}
+	return c.reqs[i]
 }
 
-// recordAbort samples one abort-suffering request into the flight
-// recorder. The dominant cause is the per-cause counter that grew most
-// since this connection's last sample; the shard is where the request's
-// first key routes, matching the per-shard abort attribution. Off the
-// happy path by construction (aborts != 0), and allocation-free like
-// the rest of the instrumentation.
-func (c *conn) recordAbort(aborts uint64, elapsed time.Duration) {
-	cause, best := stm.CauseUnknown, uint64(0)
-	for i := range c.th.Stats.AbortsByCause {
-		if d := c.th.Stats.AbortsByCause[i] - c.causes[i]; d > best {
-			cause, best = stm.ConflictCause(i), d
-		}
-		c.causes[i] = c.th.Stats.AbortsByCause[i]
+// readFrame reads the next frame body. ok false means the connection is
+// done; pe is then the typed error to answer first when framing was lost
+// (oversized announcement or mid-frame end of stream) and nil for a
+// clean close, a drain-deadline interrupt or a connection error.
+func (c *conn) readFrame() (body []byte, pe *wire.ProtocolError, ok bool) {
+	body, err := wire.ReadFrame(c.br, c.in[:0], c.srv.cfg.MaxBody)
+	c.in = body[:cap(body)]
+	if err != nil {
+		pe, _ = wire.IsProtocolError(err)
+		return nil, pe, false
 	}
-	key := c.req.Key
-	if len(c.req.Keys) > 0 {
-		key = c.req.Keys[0]
-	}
-	attempts := uint32(aborts)
-	if aborts > uint64(^uint32(0)) {
-		attempts = ^uint32(0)
-	}
-	c.ring.Record(c.req.Op, cause, c.srv.st.ShardOf(key), attempts, elapsed)
+	return body, nil, true
 }
 
-// serve runs one decoded request against the store and appends the
-// response body to dst.
-func (c *conn) serve(dst []byte) []byte {
-	r := &c.resp
-	*r = wire.Response{Present: r.Present[:0], Vals: r.Vals[:0], Stats: r.Stats[:0], Status: wire.StatusOK}
-	switch c.req.Op {
-	case wire.OpGet:
-		if !store.ValidKey(c.req.Key) {
-			return wire.AppendError(dst, wire.ErrKeyRange, "reserved key")
-		}
-		v, ok := c.fr.Get(c.req.Key)
-		if !ok {
-			r.Status = wire.StatusNotFound
-		}
-		r.Val = v
-	case wire.OpPut:
-		if !store.ValidKey(c.req.Key) {
-			return wire.AppendError(dst, wire.ErrKeyRange, "reserved key")
-		}
-		r.Flag = c.fr.Put(c.req.Key, c.req.Val)
-	case wire.OpRemove:
-		if !store.ValidKey(c.req.Key) {
-			return wire.AppendError(dst, wire.ErrKeyRange, "reserved key")
-		}
-		r.Val, r.Flag = c.fr.Remove(c.req.Key)
-	case wire.OpCompareAndMove:
-		if !store.ValidKey(c.req.Key) || !store.ValidKey(c.req.To) {
-			return wire.AppendError(dst, wire.ErrKeyRange, "reserved key")
-		}
-		r.Flag = c.fr.CompareAndMove(c.req.Key, c.req.To, c.req.Val)
-	case wire.OpMGet:
-		for _, k := range c.req.Keys {
-			if !store.ValidKey(k) {
-				return wire.AppendError(dst, wire.ErrKeyRange, "reserved key")
-			}
-		}
-		c.sizeScratch(len(c.req.Keys))
-		if !c.fr.MGet(c.req.Keys, c.vals, c.oks) {
-			return wire.AppendError(dst, wire.ErrRetryExhausted, "mget retry budget exhausted")
-		}
-		r.Vals = append(r.Vals, c.vals[:len(c.req.Keys)]...)
-		r.Present = append(r.Present, c.oks[:len(c.req.Keys)]...)
-	case wire.OpMPut:
-		for _, k := range c.req.Keys {
-			if !store.ValidKey(k) {
-				return wire.AppendError(dst, wire.ErrKeyRange, "reserved key")
-			}
-		}
-		if !c.fr.MPut(c.req.Keys, c.req.Vals) {
-			return wire.AppendError(dst, wire.ErrRetryExhausted, "mput retry budget exhausted")
-		}
-	case wire.OpAdd:
-		if !store.ValidKey(c.req.Key) {
-			return wire.AppendError(dst, wire.ErrKeyRange, "reserved key")
-		}
-		if !c.fr.Add(c.req.Key, c.req.Val) {
-			return wire.AppendError(dst, wire.ErrRetryExhausted, "add retry budget exhausted")
-		}
-	case wire.OpMAdd:
-		for _, k := range c.req.Keys {
-			if !store.ValidKey(k) {
-				return wire.AppendError(dst, wire.ErrKeyRange, "reserved key")
-			}
-		}
-		if !c.fr.MAdd(c.req.Keys, c.req.Vals) {
-			return wire.AppendError(dst, wire.ErrRetryExhausted, "madd retry budget exhausted")
-		}
-	case wire.OpStats:
-		var p wire.StatsPayload
-		c.srv.statsPayload(&p)
-		r.Stats = wire.AppendStats(r.Stats, &p)
-	case wire.OpPing:
-		if c.srv.draining.Load() {
-			return wire.AppendError(dst, wire.ErrShuttingDown, "draining")
-		}
+// appendFrame frames t's response onto c.out.
+func (c *conn) appendFrame(t *request, werr error) bool {
+	mark := len(c.out)
+	c.out = t.appendResponse(wire.BeginFrame(c.out), werr)
+	return c.finishFrame(mark)
+}
+
+// finishFrame closes the frame begun at mark, replacing a body that
+// outgrew a frame (a stats payload can, in principle) with a typed
+// error. It reports false when even that cannot be framed.
+func (c *conn) finishFrame(mark int) bool {
+	if wire.FinishFrame(c.out[mark:]) != nil {
+		c.out = wire.AppendError(wire.BeginFrame(c.out[:mark]), wire.ErrFrameTooLarge, "response exceeds frame limit")
+		return wire.FinishFrame(c.out[mark:]) == nil
 	}
-	// A WAL I/O error is sticky (the log refuses everything after its
-	// first failure): acknowledged-but-not-durable must never happen, so
-	// mutations report the typed durability error instead of success.
-	// Reads keep serving — the in-memory state is intact.
-	if err := c.fr.WALErr(); err != nil {
-		switch c.req.Op {
-		case wire.OpPut, wire.OpRemove, wire.OpCompareAndMove, wire.OpMPut, wire.OpAdd, wire.OpMAdd:
-			return wire.AppendError(dst, wire.ErrDurability, err.Error())
-		}
+	return true
+}
+
+// send writes c.out and flushes once per pipelined burst: only when no
+// complete frame is already buffered. Completeness matters — a buffered
+// header (or partial body) whose peer is waiting for this response
+// before sending the rest must not suppress the flush, or both sides
+// deadlock.
+func (c *conn) send() bool {
+	if _, err := c.bw.Write(c.out); err != nil {
+		return false
 	}
-	return wire.AppendResponse(dst, c.req.Op, r)
+	return c.nextFrameBuffered() || c.bw.Flush() == nil
 }
 
 // nextFrameBuffered reports whether a complete request frame is already
@@ -715,12 +641,169 @@ func (c *conn) nextFrameBuffered() bool {
 	return c.br.Buffered() >= wire.HeaderSize+n
 }
 
-// sizeScratch grows the MGet output buffers to hold n entries.
-func (c *conn) sizeScratch(n int) {
-	if cap(c.vals) < n {
-		c.vals = make([]int64, n)
-		c.oks = make([]bool, n)
+// handle is the connection's request loop, shared by both execution
+// models. Conn mode takes one request per turn and executes it inline on
+// the connection's own frame. Batch mode takes a whole pipelined burst
+// (one blocking frame, then every complete frame already buffered),
+// submits it to the executor as one unit and parks until it committed —
+// the burst boundary is what turns client pipelining into server
+// parallelism; a pipeline depth of one degenerates to solo batches.
+// Either way the turn's responses leave in arrival order.
+//
+// Shutdown's read deadline interrupts the next blocking read, never a
+// turn in flight: already-buffered pipelined requests still drain (bufio
+// serves them without touching the socket), and the executor always
+// completes submitted batches.
+func (c *conn) handle() {
+	defer func() {
+		c.bw.Flush()
+		c.nc.Close()
+		c.srv.retire(c)
+	}()
+	batch := c.srv.batch
+	for {
+		body, pe, ok := c.readFrame()
+		start := time.Now()
+		ab0 := c.th.Stats.Aborts
+		n := 0
+		for ok {
+			t := c.slot(n)
+			n++
+			t.decode(body)
+			if batch == nil {
+				if t.runs {
+					c.exec(t)
+				}
+				break
+			}
+			if !c.nextFrameBuffered() {
+				break
+			}
+			// The frame is complete in the buffer, so only an oversized
+			// announcement can fail here: the burst collected so far is
+			// still answered, then the typed error, then close.
+			body, pe, ok = c.readFrame()
+		}
+		// A WAL I/O error is sticky (the log refuses everything after its
+		// first failure), so reading it after the turn's commits covers
+		// every mutation of the turn.
+		werr := c.fr.WALErr()
+		if batch != nil {
+			c.runBurst(n)
+			werr = batch.applier.WALErr()
+		}
+		c.out = c.out[:0]
+		for _, t := range c.reqs[:n] {
+			if !c.appendFrame(t, werr) {
+				return
+			}
+		}
+		if pe != nil {
+			// Framing is lost (oversized announcement or mid-frame end of
+			// stream): answer with the typed error, then close — never
+			// leave the peer hanging.
+			mark := len(c.out)
+			c.out = wire.AppendError(wire.BeginFrame(c.out), pe.Code, pe.Msg)
+			c.finishFrame(mark)
+		}
+		sent := c.send()
+		elapsed := time.Since(start)
+		for _, t := range c.reqs[:n] {
+			if t.decoded {
+				c.stats.publish(t.req.Op, elapsed, c.th)
+			}
+		}
+		if !sent || !ok {
+			return
+		}
+		if aborts := c.th.Stats.Aborts - ab0; aborts != 0 {
+			c.recordAbort(&c.reqs[0].req, aborts, elapsed)
+		}
 	}
-	c.vals = c.vals[:n]
-	c.oks = c.oks[:n]
+}
+
+// recordAbort samples one abort-suffering request into the flight
+// recorder. The dominant cause is the per-cause counter that grew most
+// since this connection's last sample; the shard is where the request's
+// first key routes, matching the per-shard abort attribution. Off the
+// happy path by construction (aborts != 0, which only the connection's
+// own transactions — conn mode — can cause), and allocation-free like
+// the rest of the instrumentation.
+func (c *conn) recordAbort(q *wire.Request, aborts uint64, elapsed time.Duration) {
+	cause, best := stm.CauseUnknown, uint64(0)
+	for i := range c.th.Stats.AbortsByCause {
+		if d := c.th.Stats.AbortsByCause[i] - c.causes[i]; d > best {
+			cause, best = stm.ConflictCause(i), d
+		}
+		c.causes[i] = c.th.Stats.AbortsByCause[i]
+	}
+	key := q.Key
+	if len(q.Keys) > 0 {
+		key = q.Keys[0]
+	}
+	attempts := uint32(aborts)
+	if aborts > uint64(^uint32(0)) {
+		attempts = ^uint32(0)
+	}
+	c.ring.Record(q.Op, cause, c.srv.st.ShardOf(key), attempts, elapsed)
+}
+
+// exec runs one store-bound request on the connection's own frame — the
+// conn-mode execution (batch mode's is request.Speculate).
+func (c *conn) exec(t *request) {
+	q, r, fr := &t.req, &t.resp, c.fr
+	committed := true
+	switch q.Op {
+	case wire.OpGet:
+		var ok bool
+		if r.Val, ok = fr.Get(q.Key); !ok {
+			r.Status = wire.StatusNotFound
+		}
+	case wire.OpPut:
+		r.Flag = fr.Put(q.Key, q.Val)
+	case wire.OpRemove:
+		r.Val, r.Flag = fr.Remove(q.Key)
+	case wire.OpCompareAndMove:
+		r.Flag = fr.CompareAndMove(q.Key, q.To, q.Val)
+	case wire.OpMGet:
+		n := len(q.Keys)
+		if cap(r.Vals) < n {
+			r.Vals, r.Present = make([]int64, n), make([]bool, n)
+		}
+		r.Vals, r.Present = r.Vals[:n], r.Present[:n]
+		committed = fr.MGet(q.Keys, r.Vals, r.Present)
+	case wire.OpMPut:
+		committed = fr.MPut(q.Keys, q.Vals)
+	case wire.OpAdd:
+		committed = fr.Add(q.Key, q.Val)
+	case wire.OpMAdd:
+		committed = fr.MAdd(q.Keys, q.Vals)
+	}
+	if !committed {
+		fail(r, wire.ErrRetryExhausted, q.Op.String()+" retry budget exhausted")
+	}
+}
+
+// appendResponse encodes t's response body onto dst — the one
+// response-shaping step of both execution models. werr is the sticky WAL
+// error covering t's execution: acknowledged-but-not-durable must never
+// happen, so mutations report the typed durability error instead of
+// success, while reads keep serving — the in-memory state is intact.
+func (t *request) appendResponse(dst []byte, werr error) []byte {
+	r, srv := &t.resp, t.c.srv
+	switch {
+	case r.Status == wire.StatusErr:
+	case t.req.Op == wire.OpStats:
+		var p wire.StatsPayload
+		srv.statsPayload(&p)
+		r.Stats = wire.AppendStats(r.Stats, &p)
+	case t.req.Op == wire.OpPing && srv.draining.Load():
+		fail(r, wire.ErrShuttingDown, "draining")
+	case werr != nil && mutating[t.req.Op]:
+		fail(r, wire.ErrDurability, werr.Error())
+	}
+	if r.Status == wire.StatusErr {
+		return wire.AppendError(dst, r.Err, r.Msg)
+	}
+	return wire.AppendResponse(dst, t.req.Op, r)
 }

@@ -7,36 +7,21 @@ import (
 	"oestm/internal/wal"
 )
 
-// applyChunk bounds how many staged operations one apply transaction
-// covers — the same amortization MPut gets from flat nesting, without
-// letting a 256-transaction batch become one giant read/write set.
+// applyChunk bounds how many staged groups one apply transaction covers
+// — the same amortization MPut gets from flat nesting, without letting a
+// 256-transaction batch become one giant read/write set.
 const applyChunk = 64
 
-// batchOp is one shard-local unit of a staged batch: a plain
-// put/remove/delta record, or a reference to a cross-shard composition
-// (comp >= 0). A delta op adds val to whatever the key holds (creating
-// it from zero) — the committed form of a speculative blind add.
-type batchOp struct {
-	key    int64
-	val    int64
-	remove bool
-	delta  bool
-	comp   int32 // -1 = plain; else index into Applier.comps
-}
-
-// comp is one cross-shard composition of a batch: its effect list
-// (an [lo:hi) window of the Applier's effects arena — indices, not
-// pointers, so arena growth cannot dangle), the coordinator shard, and
-// the transaction id allocated under the participants' commit locks.
-type comp struct {
+// group is one staged effect group of a batch — a transaction's
+// validated write set: its effects (an [lo:hi) window of the Applier's
+// effects arena — indices, not pointers, so arena growth cannot dangle),
+// the coordinator (its lowest participant shard), and, for a group of
+// more than one effect, the transaction id allocated under the
+// participants' commit locks.
+type group struct {
 	txid   uint64
 	lo, hi int32
-	coord  int32
-}
-
-// shardBatch is one store shard's staged slice of the current batch.
-type shardBatch struct {
-	ops []batchOp
+	coord  int
 }
 
 // applyRun is one worker slot's pre-bound apply context: the thread,
@@ -48,8 +33,7 @@ type applyRun struct {
 	kind   stm.Kind
 	fn     func(stm.Tx) error
 	sh     int
-	ops    []batchOp
-	lo, hi int
+	groups []int32
 }
 
 // BaseReader is a committed-state point reader bound to one worker
@@ -74,17 +58,17 @@ func (b *BaseReader) ReadBase(key int64) (int64, bool) {
 }
 
 // Applier commits validated specexec batches into the store and its
-// WAL: specexec.Committer over per-shard parallel jobs. Per batch it
-// takes every touched shard's commit lock at once (ascending — the one
-// global order every multi-shard lock site uses), allocates composition
-// transaction ids in batch order under those locks, lets the shard jobs
-// apply state and append records independently, then releases the locks
-// and group-commits each shard. Holding all the locks across the whole
-// commit phase gives batch mode the exact invariants PR'd recovery
-// relies on: per-shard log order equals commit order equals batch
-// order, id order matches log order on shards two compositions share,
-// and a snapshot (which also takes all locks) can never cut through
-// half a composition's evidence.
+// WAL: specexec.Committer over per-shard parallel jobs, walking the
+// commit pipeline (commit.go) once per batch instead of once per
+// operation. It takes every touched shard's commit lock at once,
+// allocates composition transaction ids in batch order under those
+// locks, lets the shard jobs apply state and append records
+// independently, then releases the locks and group-commits each shard.
+// Holding all the locks across the whole commit phase gives batch mode
+// the exact invariants recovery relies on: per-shard log order equals
+// commit order equals batch order, id order matches log order on shards
+// two compositions share, and a snapshot (which also takes all locks)
+// can never cut through half a composition's evidence.
 //
 // Methods must be called in the specexec.Committer sequence; Begin,
 // Stage, Jobs and Finish run on the dispatcher, RunJob on the worker
@@ -95,13 +79,12 @@ type Applier struct {
 	runs    []applyRun
 	bases   []BaseReader
 
-	shards  []shardBatch
-	touched []int // ascending — the lock acquisition order
-	comps   []comp
-	effects []wal.Effect // arena the comps' windows index into
+	staged  [][]int32 // per shard: the groups touching it, in batch order
+	touched []int     // ascending — the lock acquisition order
+	groups  []group
+	effects []wal.Effect // arena the groups' windows index into
 	seqs    []uint64     // per-touched-shard sync targets
-	n       int
-	walErr  error // sticky first log I/O error (see WALErr)
+	walErr  error        // sticky first log I/O error (see WALErr)
 }
 
 // NewApplier builds an applier for workers+1 worker slots (slot
@@ -114,7 +97,7 @@ func NewApplier(s *Store, workers int, newThread func() *stm.Thread) *Applier {
 		threads: make([]*stm.Thread, workers+1),
 		runs:    make([]applyRun, workers+1),
 		bases:   make([]BaseReader, workers+1),
-		shards:  make([]shardBatch, len(s.shards)),
+		staged:  make([][]int32, len(s.shards)),
 	}
 	for w := range a.threads {
 		th := newThread()
@@ -143,114 +126,74 @@ func (a *Applier) Threads() []*stm.Thread { return a.threads }
 // routing sees it in time.
 func (a *Applier) WALErr() error { return a.walErr }
 
-// Begin resets the staging state for a batch of n transactions.
-func (a *Applier) Begin(n int) {
-	a.n = n
+// Begin resets the staging state for a batch.
+func (a *Applier) Begin(int) {
 	for _, sh := range a.touched {
-		a.shards[sh].ops = a.shards[sh].ops[:0]
+		a.staged[sh] = a.staged[sh][:0]
 	}
 	a.touched = a.touched[:0]
-	a.comps = a.comps[:0]
+	a.groups = a.groups[:0]
 	a.effects = a.effects[:0]
 }
 
-// touch adds sh to the ascending touched set.
-func (a *Applier) touch(sh int) {
-	for i, s := range a.touched {
-		if s == sh {
-			return
+// Stage buckets transaction i's validated write set onto its shards, in
+// batch order, as one effect group — logged by the same rule as a
+// conn-mode operation with the same effects (appendRecords). In unsound
+// mode every write is its own group, preserving the crash-tearing
+// ablation on disk.
+func (a *Applier) Stage(_ int, writes []specexec.WriteDesc) {
+	if a.st.unsound {
+		for j := range writes {
+			a.stage(writes[j : j+1])
 		}
-		if s > sh {
-			a.touched = append(a.touched, 0)
-			copy(a.touched[i+1:], a.touched[i:])
-			a.touched[i] = sh
-			return
-		}
+		return
 	}
-	a.touched = append(a.touched, sh)
+	a.stage(writes)
 }
 
-// Stage buckets transaction i's validated write set onto its shards, in
-// batch order. A write set on one shard becomes plain records (blind
-// deltas as add records); one that spans shards becomes a composition
-// (intent on every participant plus a commit marker on the coordinator
-// — the lowest participant — exactly the two-phase evidence conn-mode
-// MPut/CompareAndMove log), with delta writes carried as delta effects.
-// In unsound mode every write set is split into plain records,
-// preserving the crash-tearing ablation on disk.
-func (a *Applier) Stage(i int, writes []specexec.WriteDesc) {
+// stage appends one effect group.
+func (a *Applier) stage(writes []specexec.WriteDesc) {
 	if len(writes) == 0 {
 		return
 	}
-	single := true
-	deltas := 0
-	sh0 := a.st.ShardOf(writes[0].Key)
-	for j := range writes {
-		if writes[j].Delta {
-			deltas++
-		}
-		sh := a.st.ShardOf(writes[j].Key)
+	s := a.st
+	g := group{lo: int32(len(a.effects)), coord: len(s.shards)}
+	gi := int32(len(a.groups))
+	for _, w := range writes {
+		sh := s.ShardOf(w.Key)
+		a.effects = append(a.effects, wal.Effect{Remove: w.Remove, Delta: w.Delta, Shard: sh, Key: w.Key, Val: w.Val})
+		g.coord = min(g.coord, sh)
 		// Per-shard telemetry: batch mode counts the committed write set
 		// (speculative reads and re-executions don't route to shards in
 		// any attributable way; conn mode counts every key-operation).
-		a.st.sc[sh].ops.Add(1)
-		if sh != sh0 {
-			single = false
+		s.sc[sh].ops.Add(1)
+		if w.Delta {
+			s.adds.Add(1)
+		}
+		if on := a.staged[sh]; len(on) == 0 || on[len(on)-1] != gi {
+			a.staged[sh] = append(on, gi)
+			a.touched = insertShard(a.touched, sh)
 		}
 	}
-	if deltas > 0 {
-		a.st.CountAdds(deltas)
-	}
-	if single || a.st.unsound {
-		for _, w := range writes {
-			sh := a.st.ShardOf(w.Key)
-			a.shards[sh].ops = append(a.shards[sh].ops, batchOp{key: w.Key, val: w.Val, remove: w.Remove, delta: w.Delta, comp: -1})
-			a.touch(sh)
-		}
-		return
-	}
-	lo := int32(len(a.effects))
-	coord := a.st.Shards()
-	for _, w := range writes {
-		sh := a.st.ShardOf(w.Key)
-		a.effects = append(a.effects, wal.Effect{Remove: w.Remove, Delta: w.Delta, Shard: sh, Key: w.Key, Val: w.Val})
-		if sh < coord {
-			coord = sh
-		}
-	}
-	c := int32(len(a.comps))
-	a.comps = append(a.comps, comp{lo: lo, hi: int32(len(a.effects)), coord: int32(coord)})
-	// One marker op per participant shard, first occurrence only.
-	for _, w := range writes {
-		sh := a.st.ShardOf(w.Key)
-		ops := a.shards[sh].ops
-		if len(ops) > 0 && ops[len(ops)-1].comp == c {
-			continue
-		}
-		a.shards[sh].ops = append(ops, batchOp{comp: c})
-		a.touch(sh)
-	}
+	g.hi = int32(len(a.effects))
+	a.groups = append(a.groups, g)
 }
 
-// Jobs locks every touched shard (ascending) and allocates the batch's
-// composition transaction ids in batch order under those locks, then
-// reports the job count — one job per touched shard.
+// Jobs locks every touched shard and allocates the batch's composition
+// transaction ids in batch order under those locks, then reports the
+// job count — one job per touched shard.
 func (a *Applier) Jobs() int {
-	w := a.st.wal
-	if w != nil {
-		for _, sh := range a.touched {
-			w.Lock(sh)
-		}
-		for ci := range a.comps {
-			a.comps[ci].txid = w.NextTxID()
+	a.st.lockShards(a.touched)
+	if w := a.st.wal; w != nil {
+		for i := range a.groups {
+			if g := &a.groups[i]; g.hi-g.lo > 1 {
+				g.txid = w.NextTxID()
+			}
 		}
 	}
-	for len(a.seqs) < len(a.touched) {
+	a.seqs = a.seqs[:0]
+	for range a.touched {
 		a.seqs = append(a.seqs, 0)
-	}
-	a.seqs = a.seqs[:len(a.touched)]
-	for i := range a.seqs {
-		a.seqs[i] = 0
 	}
 	return len(a.touched)
 }
@@ -261,104 +204,44 @@ func (a *Applier) Jobs() int {
 // already-held commit lock.
 func (a *Applier) RunJob(worker, job int) {
 	sh := a.touched[job]
-	ops := a.shards[sh].ops
+	on := a.staged[sh]
 	r := &a.runs[worker]
 	r.sh = sh
-	r.ops = ops
-	for lo := 0; lo < len(ops); lo += applyChunk {
-		r.lo, r.hi = lo, min(lo+applyChunk, len(ops))
+	for lo := 0; lo < len(on); lo += applyChunk {
+		r.groups = on[lo:min(lo+applyChunk, len(on))]
 		_ = r.th.Atomic(r.kind, r.fn)
 	}
-	r.ops = nil
-	if w := a.st.wal; w != nil {
-		var seq uint64
-		for _, op := range ops {
-			if op.comp < 0 {
-				switch {
-				case op.delta:
-					seq = w.AppendAdd(sh, op.key, op.val)
-				case op.remove:
-					seq = w.AppendRemove(sh, op.key)
-				default:
-					seq = w.AppendPut(sh, op.key, op.val)
-				}
-				continue
-			}
-			c := &a.comps[op.comp]
-			seq = w.AppendIntent(sh, c.txid, a.effects[c.lo:c.hi])
-			if int(c.coord) == sh {
-				seq = w.AppendCommit(sh, c.txid)
-			}
+	r.groups = nil
+	if a.st.wal != nil {
+		for _, gi := range on {
+			g := &a.groups[gi]
+			a.seqs[job] = a.st.appendRecords(sh, g.coord, g.txid, a.effects[g.lo:g.hi])
 		}
-		a.seqs[job] = seq
 	}
 }
 
-// applyBody applies one chunk of the current shard job — plain ops
-// directly, compositions by their shard-local effects — inside the
-// enclosing transaction (flat nesting, like MPut's body). Deltas fold
-// into the committed value here: the commutativity already paid off in
-// the speculation rounds (blind adds never invalidate), so the commit
-// path applies them as ordinary read-modify-writes in batch order.
+// applyBody applies one chunk of the current shard job — each group's
+// shard-local effects — inside the enclosing transaction (flat nesting,
+// like MPut's body). Deltas fold into the committed value here: the
+// commutativity already paid off in the speculation rounds (blind adds
+// never invalidate), so the commit path applies them as ordinary
+// read-modify-writes in batch order.
 func (r *applyRun) applyBody() {
-	m := r.a.st.shards[r.sh]
-	for _, op := range r.ops[r.lo:r.hi] {
-		if op.comp < 0 {
-			switch {
-			case op.delta:
-				r.applyDelta(m, op.key, op.val)
-			case op.remove:
-				m.Remove(r.th, int(op.key))
-			default:
-				m.Put(r.th, int(op.key), op.val)
-			}
-			continue
-		}
-		c := &r.a.comps[op.comp]
-		for _, ef := range r.a.effects[c.lo:c.hi] {
-			if ef.Shard != r.sh {
-				continue
-			}
-			switch {
-			case ef.Delta:
-				r.applyDelta(m, ef.Key, ef.Val)
-			case ef.Remove:
-				m.Remove(r.th, int(ef.Key))
-			default:
-				m.Put(r.th, int(ef.Key), ef.Val)
+	a := r.a
+	for _, gi := range r.groups {
+		g := &a.groups[gi]
+		for i := g.lo; i < g.hi; i++ {
+			if ef := &a.effects[i]; ef.Shard == r.sh {
+				a.st.apply(r.th, ef)
 			}
 		}
 	}
 }
 
-// applyDelta adds delta to key's committed value, creating the key from
-// zero when absent — the same semantics WAL replay gives add records.
-func (r *applyRun) applyDelta(m *eec.SkipListMap, key, delta int64) {
-	var old int64
-	if v, ok := m.Get(r.th, int(key)); ok {
-		old, _ = v.(int64)
-	}
-	m.Put(r.th, int(key), old+delta)
-}
-
-// Finish releases the commit locks (descending) and group-commits
-// every touched shard through its sync target. It runs on the
-// dispatcher, so the sticky error is visible to the Done callbacks
-// that follow it.
+// Finish releases the commit locks and group-commits every touched
+// shard through its sync target. It runs on the dispatcher, so the
+// sticky error is visible to the Done callbacks that follow it.
 func (a *Applier) Finish() {
-	w := a.st.wal
-	if w == nil {
-		return
-	}
-	for i := len(a.touched) - 1; i >= 0; i-- {
-		w.Unlock(a.touched[i])
-	}
-	for j, sh := range a.touched {
-		if a.seqs[j] == 0 {
-			continue
-		}
-		if err := w.Sync(sh, a.seqs[j]); err != nil && a.walErr == nil {
-			a.walErr = err
-		}
-	}
+	a.st.unlockShards(a.touched)
+	a.st.syncShards(a.touched, a.seqs, &a.walErr)
 }

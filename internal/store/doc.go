@@ -2,8 +2,8 @@
 // layer: a power-of-two array of engine-backed eec.SkipListMap shards
 // under one int64 key space, with single-shard elementary operations
 // (Get, Put, Remove) and composed multi-key operations (MGet, MPut,
-// CompareAndMove) that each execute as one relaxed transaction, whatever
-// mix of shards they touch.
+// CompareAndMove, Add, MAdd) that each execute as one relaxed
+// transaction, whatever mix of shards they touch.
 //
 // The store itself is engine-agnostic, like every e.e.c structure: shards
 // are built from mvar words, and the engine is carried by the stm.Thread
@@ -25,6 +25,13 @@
 // transaction reading every shard directly (SkipListMap.GetTx), because
 // a read-only elastic child outherits only its final read and a
 // composition of such children would not validate as one snapshot.
+//
+// Every mutating operation — elementary or composed, on a plain key or a
+// promoted counter (hot.go), logged or not, issued by a Frame or committed
+// by the batch Applier — walks one commit pipeline (commit.go): resolve
+// hot counters, take their abstract locks, take the shards' commit locks
+// in ascending order, run the body, turn the effect list into log
+// records by one rule, unlock, wait for group commit.
 //
 // Unsound mode splits every composed operation into separate top-level
 // transactions — the deliberately broken baseline the cross-shard

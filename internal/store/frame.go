@@ -8,10 +8,10 @@ import (
 )
 
 // Frame is the per-connection (per-thread) operation context of a Store:
-// it owns the pre-bound transaction closures of the composed operations
-// and the parameter fields they read, so the steady-state request path
-// starts no per-call closures and allocates no per-transaction frames —
-// the store-layer counterpart of the e.e.c operation frame. A Frame must
+// it owns the pre-bound transaction closures of the operations and the
+// descriptor fields they read, so the steady-state request path starts no
+// per-call closures and allocates no per-transaction frames — the
+// store-layer counterpart of the e.e.c operation frame. A Frame must
 // only be used from the one goroutine that owns its thread, one
 // operation at a time.
 //
@@ -23,8 +23,9 @@ import (
 // shards; like the rest of the repository's word-level budgets this
 // assumes 64-bit ints.
 type Frame struct {
-	st *Store
-	th *stm.Thread
+	st  *Store
+	th  *stm.Thread
+	bth *boost.Thread // the frame's thread in the store's boosting domain
 
 	// kind is the enclosing-transaction kind of the composed mutators
 	// (elastic where the engine supports it, like every e.e.c
@@ -35,47 +36,41 @@ type Frame struct {
 	// composed operation (see SetBudget).
 	budget int
 
-	// Parameters and results of the composed operations in flight.
-	keys, vals []int64
-	oks        []bool
-	from, to   int64
-	expect     int64
-	moved      bool
+	// The operation in flight — the descriptor the commit pipeline
+	// (commit.go) and the read path walk: its class and keys, the hot
+	// counters resolve found for them, and for mutations the pre-bound
+	// transaction body (nil = the single effect is an elementary eec
+	// operation) and the effect list that becomes the log records.
+	class   opClass
+	keys    []int64
+	hcs     []*hotCounter
+	body    func(stm.Tx) error
+	effects []wal.Effect
+	fused   bool // running inside a boosted transaction holding hcs' locks
+	killed  int  // leading hcs an absolute operation folded and killed
+	expect  int64
+	// Results: a read's outputs (the caller's buffers), and the previous
+	// value and presence the last applied effect found.
+	vals []int64
+	oks  []bool
+	prev int64
+	hit  bool
+	// Scratch backing the key/value slices of single-key operations.
+	k1, v1 [2]int64
+	ok1    [1]bool
+	foldEf wal.Effect
 
-	mgetFn, mputFn, camFn func(stm.Tx) error
-
-	// Commutative hot-key path state (see frame_add.go): the frame's
-	// boosted-transaction thread, the pre-bound boosted and STM bodies
-	// of Add/MAdd and of hot-aware reads, and their parameter fields.
-	bth         *boost.Thread
-	hotHC       *hotCounter
-	hotKey      int64
-	hotDelta    int64
-	hotVal      int64
-	hotOk       bool
-	hotSh       int
-	hotSeq      uint64
-	maddHCs     []*hotCounter
-	mgetHCs     []*hotCounter
-	maddExists  []bool
-	maddApplied int
-
-	addFn, maddFn                                 func(stm.Tx) error
-	boostAddFn, boostMAddFn, boostGetFn, demoteFn func(*boost.Tx) error
-	boostMGetFn, putHotFn, removeHotFn            func(*boost.Tx) error
-	maddUndoFn                                    func()
-	camKeys                                       [2]int64
+	readFn, applyFn, camFn, foldFn func(stm.Tx) error
+	fusedFn, fusedReadFn           func(*boost.Tx) error
+	commitOp, readOp               func() error
 
 	// WAL scratch (reused across operations so the logging path stays
 	// allocation-free once grown): the sorted unique participant shards
-	// of the composed operation in flight, the per-participant sync
-	// targets, and the composition's effect list.
+	// of the mutation in flight and their sync targets.
 	wShards []int
 	wSeqs   []uint64
-	effects []wal.Effect
-	// walErr is the sticky first log I/O error observed by this frame:
-	// once set, mutations this frame acknowledged may not be durable and
-	// the server reports the failure instead of success (see WALErr).
+	// walErr is the sticky first log I/O error observed by this frame
+	// (see WALErr).
 	walErr error
 }
 
@@ -84,19 +79,14 @@ type Frame struct {
 // request.
 func (s *Store) NewFrame(th *stm.Thread) *Frame {
 	f := &Frame{st: s, th: th, kind: eec.OpKind(th), bth: s.bt.NewThread()}
-	f.mgetFn = func(tx stm.Tx) error { f.mgetBody(tx); return nil }
-	f.mputFn = func(stm.Tx) error { f.mputBody(); return nil }
+	f.readFn = func(tx stm.Tx) error { f.readBody(tx); return nil }
+	f.applyFn = func(stm.Tx) error { f.applyBody(); return nil }
 	f.camFn = func(stm.Tx) error { f.camBody(); return nil }
-	f.addFn = func(stm.Tx) error { f.addBody(); return nil }
-	f.maddFn = func(stm.Tx) error { f.maddBody(); return nil }
-	f.boostAddFn = f.boostAddBody
-	f.boostMAddFn = f.boostMAddBody
-	f.boostGetFn = f.boostGetBody
-	f.boostMGetFn = f.boostMGetBody
-	f.putHotFn = f.putHotBody
-	f.removeHotFn = f.removeHotBody
-	f.demoteFn = f.demoteBody
-	f.maddUndoFn = f.maddUndo
+	f.foldFn = func(stm.Tx) error { f.st.apply(f.th, &f.foldEf); return nil }
+	f.fusedFn = f.fusedBody
+	f.fusedReadFn = f.fusedReadBody
+	f.commitOp = f.commit
+	f.readOp = f.read
 	return f
 }
 
@@ -112,39 +102,26 @@ func (f *Frame) Thread() *stm.Thread { return f.th }
 // permanent conflict loop. Elementary operations are never budgeted:
 // they are individually atomic on every engine, cannot be torn, and
 // their eec surface has no failure channel — bounding them would trade a
-// (corruption-only) wedge for silently wrong answers. (Unsound mode is
-// the exception: there the budget covers the split-out elementary
-// pieces — see Frame.unsound.)
+// (corruption-only) wedge for silently wrong answers. Unsound mode is the
+// exception: there the budget covers the split-out elementary pieces —
+// exactly the transactions a corrupted unsound store can wedge — so an
+// exhausted piece silently degrades (a read observes absence, a write is
+// dropped), acceptable only because unsound mode exists to break
+// semantics.
 func (f *Frame) SetBudget(n int) { f.budget = n }
 
-// atomic runs one composed-operation closure under the frame's budget.
-func (f *Frame) atomic(kind stm.Kind, fn func(stm.Tx) error) error {
-	if f.budget > 0 {
-		prev := f.th.MaxRetries
-		f.th.MaxRetries = f.budget
-		err := f.th.Atomic(kind, fn)
-		f.th.MaxRetries = prev
-		return err
+// bounded runs one composed operation under the frame's budget, on both
+// of the frame's threads: the STM one its transactions retry on and the
+// boosting one its abstract-lock acquisitions retry on.
+func (f *Frame) bounded(op func() error) error {
+	if f.budget == 0 {
+		return op()
 	}
-	return f.th.Atomic(kind, fn)
-}
-
-// unsound runs a composed operation's unsound (split) body under the
-// frame's budget. Here the budget must cover the elementary pieces —
-// they are exactly the transactions a corrupted unsound store can wedge
-// — so an exhausted piece silently degrades (a read observes absence, a
-// write is dropped). That trade is only acceptable because unsound mode
-// exists to break semantics; the sound paths never bound elementary
-// operations (see SetBudget).
-func (f *Frame) unsound(body func()) {
-	if f.budget > 0 {
-		prev := f.th.MaxRetries
-		f.th.MaxRetries = f.budget
-		body()
-		f.th.MaxRetries = prev
-		return
-	}
-	body()
+	pt, pb := f.th.MaxRetries, f.bth.MaxRetries
+	f.th.MaxRetries, f.bth.MaxRetries = f.budget, f.budget
+	err := op()
+	f.th.MaxRetries, f.bth.MaxRetries = pt, pb
+	return err
 }
 
 // noteOp credits one key-operation to key's shard and attributes the
@@ -182,137 +159,39 @@ func (f *Frame) noteComposed(keys []int64, a0 uint64) {
 	}
 }
 
-// Get returns the value under key and whether it is present. For a
-// plain key this is one single-shard elastic transaction; a promoted
-// counter's read additionally acquires its abstract lock, so the value
-// returned is base + overlay at one instant (a counter logically exists
-// once a committed delta created it — even while later deltas cancel
-// the sum back to zero, matching the RMW and batch executions).
-func (f *Frame) Get(key int64) (int64, bool) {
-	a0 := f.th.Stats.Aborts
-	for {
-		hc := f.st.hotOf(key)
-		if hc == nil {
-			v, ok := f.getRaw(key)
-			f.noteOp(key, a0)
-			return v, ok
-		}
-		f.hotHC, f.hotKey = hc, key
-		if f.bth.Atomic(f.boostGetFn) == nil {
-			f.noteOp(key, a0)
-			return f.hotVal, f.hotOk
-		}
-		// The counter died under us (an absolute operation demoted it);
-		// its overlay is folded into the base now — look again.
-	}
-}
-
-// getRaw reads key's base entry — the bare single-shard transaction,
-// blind to hot-key overlays. Composed bodies and the fold paths read
-// through it; the public Get adds a promoted key's overlay on top.
-func (f *Frame) getRaw(key int64) (int64, bool) {
-	v, ok := f.st.shard(key).Get(f.th, int(key))
-	if !ok {
-		return 0, false
-	}
-	n, _ := v.(int64)
-	return n, true
-}
-
-// Put stores val under key, reporting whether the key already existed —
-// one single-shard elastic transaction. With a WAL the transaction runs
-// under the shard's commit lock, the put record is appended there (so
-// log order equals commit order), and Put returns only after group
-// commit made the record durable. A promoted key is demoted first; with
-// a WAL the demote and the write are one atomic step (putLogged), so no
-// concurrent add record can land between the fold and the put record.
-func (f *Frame) Put(key, val int64) bool {
-	a0 := f.th.Stats.Aborts
-	w := f.st.wal
-	if w == nil {
-		f.absolute(key)
-		existed := f.putRaw(key, val)
-		f.noteOp(key, a0)
-		return existed
-	}
-	if f.st.boostMode != BoostOff {
-		existed := f.putLogged(key, val)
-		f.noteOp(key, a0)
-		return existed
-	}
-	sh := f.st.ShardOf(key)
-	w.Lock(sh)
-	existed := f.putRaw(key, val)
-	seq := w.AppendPut(sh, key, val)
-	w.Unlock(sh)
-	if err := w.Sync(sh, seq); err != nil && f.walErr == nil {
-		f.walErr = err
-	}
-	f.noteOp(key, a0)
-	return existed
-}
-
-// putRaw is the unlogged put: the bare transaction, used directly when
-// there is no WAL and inside sound composed bodies (the enclosing
-// composition logs once, as one intent — and already holds the shard's
-// commit lock, so the logging wrapper would self-deadlock).
-func (f *Frame) putRaw(key, val int64) bool {
-	_, existed := f.st.shard(key).Put(f.th, int(key), val)
-	return existed
-}
-
-// Remove deletes key, returning the removed value and whether the key
-// was present — one single-shard elastic transaction, logged and made
-// durable like Put when it removed something (a miss mutates nothing
-// and writes no record). Promoted keys demote like Put's (removeLogged
-// with a WAL — one atomic demote-and-remove step).
-func (f *Frame) Remove(key int64) (int64, bool) {
-	a0 := f.th.Stats.Aborts
-	w := f.st.wal
-	if w == nil {
-		f.absolute(key)
-		v, ok := f.removeRaw(key)
-		f.noteOp(key, a0)
-		return v, ok
-	}
-	if f.st.boostMode != BoostOff {
-		v, ok := f.removeLogged(key)
-		f.noteOp(key, a0)
-		return v, ok
-	}
-	sh := f.st.ShardOf(key)
-	w.Lock(sh)
-	v, ok := f.removeRaw(key)
-	var seq uint64
-	if ok {
-		seq = w.AppendRemove(sh, key)
-	}
-	w.Unlock(sh)
-	if ok {
-		if err := w.Sync(sh, seq); err != nil && f.walErr == nil {
-			f.walErr = err
-		}
-	}
-	f.noteOp(key, a0)
-	return v, ok
-}
-
-// removeRaw is the unlogged remove (see putRaw).
-func (f *Frame) removeRaw(key int64) (int64, bool) {
-	v, ok := f.st.shard(key).Remove(f.th, int(key))
-	if !ok {
-		return 0, false
-	}
-	n, _ := v.(int64)
-	return n, true
-}
-
 // WALErr returns the frame's sticky first log I/O error (nil while
 // every acknowledged mutation reached the log). Once set, the store's
 // durability is broken — the log refuses all further appends with the
 // same error — and the server answers mutations with a typed
 // durability error instead of success.
 func (f *Frame) WALErr() error { return f.walErr }
+
+// Get returns the value under key and whether it is present: one
+// single-shard elastic transaction for a plain key; base + overlay at
+// one instant, under the abstract lock, for a promoted counter (which
+// logically exists once a committed delta created it — even while later
+// deltas cancel the sum back to zero).
+func (f *Frame) Get(key int64) (v int64, ok bool) {
+	a0 := f.th.Stats.Aborts
+	if f.st.hotOf(key) == nil {
+		v, ok = f.getRaw(key)
+	} else {
+		f.k1[0] = key
+		f.class, f.keys, f.vals, f.oks = classRead, f.k1[:1], f.v1[:1], f.ok1[:]
+		_ = f.read() // unbudgeted, like every elementary operation
+		v, ok = f.v1[0], f.ok1[0]
+	}
+	f.noteOp(key, a0)
+	return v, ok
+}
+
+// getRaw reads key's base entry — the bare single-shard transaction,
+// blind to hot-key overlays.
+func (f *Frame) getRaw(key int64) (int64, bool) {
+	v, ok := f.st.shard(key).Get(f.th, int(key))
+	n, _ := v.(int64)
+	return n, ok
+}
 
 // MGet fills vals[i], oks[i] with the value and presence of keys[i] for
 // every key, as one atomic snapshot across all shards touched: a single
@@ -326,28 +205,69 @@ func (f *Frame) WALErr() error { return f.walErr }
 // discarded. With an unbounded budget (the default) they always return
 // true.
 func (f *Frame) MGet(keys []int64, vals []int64, oks []bool) bool {
-	f.keys, f.vals, f.oks = keys, vals, oks
-	var err error
 	if f.st.unsound {
-		// The split pieces go through the public Get, which counts each
-		// key-operation itself — no outer noteComposed, or the shards
-		// would double-count.
-		f.unsound(func() {
+		// The split pieces go through the public operations, which count
+		// each key-operation themselves — no outer noteComposed, or the
+		// shards would double-count.
+		return f.bounded(func() error {
 			for i, k := range keys {
 				vals[i], oks[i] = f.Get(k)
 			}
-		})
-	} else {
-		a0 := f.th.Stats.Aborts
-		err = f.mgetSound()
-		f.noteComposed(keys, a0)
+			return nil
+		}) == nil
 	}
+	a0 := f.th.Stats.Aborts
+	f.class, f.keys, f.vals, f.oks = classRead, keys, vals, oks
+	err := f.bounded(f.readOp)
+	f.noteComposed(keys, a0)
 	f.keys, f.vals, f.oks = nil, nil, nil
 	return err == nil
 }
 
-// mgetBody is the transactional body of MGet.
-func (f *Frame) mgetBody(tx stm.Tx) {
+// read runs the read in flight. With none of its keys promoted it is the
+// plain one-transaction snapshot. Otherwise the frame first acquires the
+// abstract lock of every hot key it covers, then takes the snapshot of
+// the bases and folds the locked overlays in: holding every hot key's
+// lock is what makes the result a consistent cut — a composed MAdd over
+// any of these keys is either entirely before (its overlays all visible)
+// or entirely after (blocked on the locks). A key that turns hot after
+// the re-check in fusedReadBody is harmless: a composed MAdd pairing it
+// with a locked key blocks on that lock until this read commits, and one
+// touching no locked key leaves every folded overlay and snapshotted
+// base untouched — the read linearizes before it.
+func (f *Frame) read() error {
+	for {
+		if !f.resolve() {
+			return f.th.Atomic(stm.Regular, f.readFn)
+		}
+		if err := f.bth.Atomic(f.fusedReadFn); err != errHotDead {
+			return err
+		}
+	}
+}
+
+// fusedReadBody is read's boosted transaction.
+func (f *Frame) fusedReadBody(tx *boost.Tx) error {
+	if err := f.acquire(tx); err != nil {
+		return err
+	}
+	if f.promoted() {
+		return errHotDead
+	}
+	if err := f.th.Atomic(stm.Regular, f.readFn); err != nil {
+		return err
+	}
+	for i, hc := range f.hcs {
+		if hc != nil {
+			f.vals[i] += hc.overlay
+			f.oks[i] = f.oks[i] || hc.exists
+		}
+	}
+	return nil
+}
+
+// readBody is the transactional body of a read.
+func (f *Frame) readBody(tx stm.Tx) {
 	for i, k := range f.keys {
 		v, ok := f.st.shard(k).GetTx(tx, int(k))
 		n, _ := v.(int64)
@@ -355,72 +275,74 @@ func (f *Frame) mgetBody(tx stm.Tx) {
 	}
 }
 
-// MPut stores vals[i] under keys[i] for every key as one transaction —
-// Put compositions across shards, atomic through outheritance (flat
-// nesting on the classic engines). vals must be at least len(keys) long.
-// In unsound mode every entry is stored in its own transaction. It
-// reports whether it committed (see MGet).
-//
-// With a WAL the whole composition is logged as one logical record in
-// two phases: the transaction runs under every participant shard's
-// commit lock, then — still under the locks — an intent record carrying
-// the full effect list is appended to each participant and a commit
-// marker to the coordinator (the lowest participant index). Replay
-// applies the effects only when that evidence is complete, so a crash
-// can never surface half an MPut.
-func (f *Frame) MPut(keys, vals []int64) bool {
-	for _, k := range keys {
-		f.absolute(k)
-	}
-	f.keys, f.vals = keys, vals
+// Put stores val under key, reporting whether the key already existed —
+// one single-shard elastic transaction, logged as one put record and
+// durable on return when the store has a WAL.
+func (f *Frame) Put(key, val int64) bool {
+	f.elementary(key, val, false)
+	return f.hit
+}
+
+// Remove deletes key, returning the removed value and whether the key
+// was present — Put's shape; a miss mutates nothing and writes no
+// record.
+func (f *Frame) Remove(key int64) (int64, bool) {
+	f.elementary(key, 0, true)
+	return f.prev, f.hit
+}
+
+// elementary commits a one-effect absolute mutation whose body is the
+// elementary eec operation itself: unbudgeted, so it cannot fail. The
+// outcome lands in f.prev/f.hit.
+func (f *Frame) elementary(key, val int64, remove bool) {
 	a0 := f.th.Stats.Aborts
-	var err error
-	if f.st.unsound {
-		f.unsound(f.mputUnsound) // pieces count themselves (see MGet)
-	} else if f.st.wal == nil {
-		err = f.atomic(f.kind, f.mputFn)
-		f.noteComposed(keys, a0)
-	} else {
-		f.wShards = f.wShards[:0]
-		for _, k := range keys {
-			f.insertShard(f.st.ShardOf(k))
-		}
-		f.lockShardsAbsolute(keys)
-		err = f.atomic(f.kind, f.mputFn)
-		if err == nil {
-			f.effects = f.effects[:0]
-			for i, k := range keys {
-				f.effects = append(f.effects, wal.Effect{Shard: f.st.ShardOf(k), Key: k, Val: vals[i]})
-			}
-			f.logComposed()
-		}
-		f.unlockShards()
-		if err == nil {
-			f.syncShards()
-		}
-		f.noteComposed(keys, a0)
-	}
-	f.keys, f.vals = nil, nil
+	f.k1[0], f.v1[0] = key, val
+	f.stage(classAbsolute, f.k1[:1], f.v1[:1])
+	f.effects[0].Remove = remove
+	f.body = nil
+	_ = f.commit()
+	f.noteOp(key, a0)
+}
+
+// composed commits the staged mutation as one composed operation: body
+// runs as one enclosing transaction under the frame's budget (Fig. 5 —
+// elementary operations atomic through outheritance, flat nesting on
+// the classic engines). It reports whether the operation committed (see
+// MGet).
+func (f *Frame) composed(body func(stm.Tx) error, a0 uint64) bool {
+	f.body = body
+	err := f.bounded(f.commitOp)
+	f.noteComposed(f.keys, a0)
+	f.keys = nil
 	return err == nil
 }
 
-// mputBody is the transactional body of sound MPut: unlogged puts — the
-// enclosing MPut logs the composition as one intent.
-func (f *Frame) mputBody() {
-	for i, k := range f.keys {
-		f.st.shard(k).Put(f.th, int(k), f.vals[i])
+// applyBody is the transactional body of the mutations whose effects are
+// known up front (MPut, Add, MAdd): apply them all.
+func (f *Frame) applyBody() {
+	for i := range f.effects {
+		f.st.apply(f.th, &f.effects[i])
 	}
 }
 
-// mputUnsound is the split body of unsound MPut. The pieces go through
-// the logging Put wrapper, so with a WAL each piece is logged as an
-// independent single-shard record — a crash between pieces leaves the
-// tear on disk, which is exactly what the crashtest ablation asserts
-// the audits catch.
-func (f *Frame) mputUnsound() {
-	for i := range f.keys {
-		f.Put(f.keys[i], f.vals[i])
+// MPut stores vals[i] under keys[i] for every key as one transaction —
+// Put compositions across shards. vals must be at least len(keys) long.
+// In unsound mode every entry is stored in its own transaction (and
+// logged as its own record — a crash between pieces leaves the tear on
+// disk, which is exactly what the crashtest ablation asserts the audits
+// catch). It reports whether it committed (see MGet).
+func (f *Frame) MPut(keys, vals []int64) bool {
+	if f.st.unsound {
+		return f.bounded(func() error {
+			for i, k := range keys {
+				f.Put(k, vals[i])
+			}
+			return nil
+		}) == nil
 	}
+	a0 := f.th.Stats.Aborts
+	f.stage(classAbsolute, keys, vals)
+	return f.composed(f.applyFn, a0)
 }
 
 // CompareAndMove atomically relocates a value between keys — across
@@ -436,140 +358,89 @@ func (f *Frame) CompareAndMove(from, to, expect int64) bool {
 	if from == to {
 		return false
 	}
-	f.absolute(from)
-	f.absolute(to)
-	f.from, f.to, f.expect = from, to, expect
-	f.camKeys[0], f.camKeys[1] = from, to
-	a0 := f.th.Stats.Aborts
 	if f.st.unsound {
-		f.unsound(f.camUnsound) // pieces count themselves (see MGet)
-	} else if f.st.wal == nil {
-		err := f.atomic(f.kind, f.camFn)
-		f.noteComposed(f.camKeys[:], a0)
-		if err != nil {
-			return false
-		}
-	} else {
-		// Both shards' commit locks are taken up front — whether the
-		// move happens is only known inside the transaction — but a
-		// refused move mutates nothing and writes no record.
-		f.wShards = f.wShards[:0]
-		f.insertShard(f.st.ShardOf(from))
-		f.insertShard(f.st.ShardOf(to))
-		f.lockShardsAbsolute(f.camKeys[:])
-		err := f.atomic(f.kind, f.camFn)
-		if err == nil && f.moved {
-			// The moved value is expect by construction (the move only
-			// happens when the source holds it), so the redo effects are
-			// concrete blind writes: remove(from), put(to, expect).
-			f.effects = f.effects[:0]
-			f.effects = append(f.effects,
-				wal.Effect{Remove: true, Shard: f.st.ShardOf(from), Key: from},
-				wal.Effect{Shard: f.st.ShardOf(to), Key: to, Val: expect})
-			f.logComposed()
-		}
-		f.unlockShards()
-		if err == nil && f.moved {
-			f.syncShards()
-		}
-		f.noteComposed(f.camKeys[:], a0)
-		if err != nil {
-			return false
-		}
+		moved := false
+		_ = f.bounded(func() error {
+			if v, ok := f.Get(from); !ok || v != expect {
+				return nil
+			}
+			if _, occupied := f.Get(to); occupied {
+				return nil
+			}
+			f.Remove(from)
+			f.Put(to, expect)
+			moved = true
+			return nil
+		})
+		return moved
 	}
-	return f.moved
+	a0 := f.th.Stats.Aborts
+	f.k1[0], f.k1[1] = from, to
+	f.class, f.keys, f.expect = classAbsolute, f.k1[:2], expect
+	return f.composed(f.camFn, a0) && len(f.effects) != 0
 }
 
-// camBody is the transactional body of sound CompareAndMove: unlogged
-// elementary pieces — the enclosing operation logs the composition as
-// one intent (and holds the commit locks, so the logging wrappers would
-// self-deadlock here).
+// camBody is the transactional body of CompareAndMove. Whether the move
+// happens is only known here, so the effects are staged here too (afresh
+// on every attempt): a refused move mutates nothing and logs nothing.
+// The moved value is expect by construction, so the redo effects are
+// concrete blind writes.
 func (f *Frame) camBody() {
-	f.moved = false
-	v, ok := f.getRaw(f.from)
-	if !ok || v != f.expect {
+	from, to := f.keys[0], f.keys[1]
+	f.effects = f.effects[:0]
+	if v, ok := f.getRaw(from); !ok || v != f.expect {
 		return
 	}
-	if _, occupied := f.getRaw(f.to); occupied {
+	if _, occupied := f.getRaw(to); occupied {
 		return
 	}
-	f.removeRaw(f.from)
-	f.putRaw(f.to, v)
-	f.moved = true
+	f.effects = append(f.effects,
+		wal.Effect{Remove: true, Shard: f.st.ShardOf(from), Key: from},
+		wal.Effect{Shard: f.st.ShardOf(to), Key: to, Val: f.expect})
+	f.applyBody()
 }
 
-// camUnsound is the split body of unsound CompareAndMove: the four
-// elementary pieces run as separate transactions through the logging
-// wrappers, so each logs its own record (see mputUnsound).
-func (f *Frame) camUnsound() {
-	f.moved = false
-	v, ok := f.Get(f.from)
-	if !ok || v != f.expect {
-		return
-	}
-	if _, occupied := f.Get(f.to); occupied {
-		return
-	}
-	f.Remove(f.from)
-	f.Put(f.to, v)
-	f.moved = true
+// Add atomically adds delta to the counter under key, creating it (from
+// zero) if absent: on the overlay when the key is promoted, as a composed
+// read-modify-write of the base otherwise — logged as one add record
+// either way, so replay re-applies the delta rather than a stale
+// absolute value. In BoostAuto mode the read-modify-write's abort count
+// feeds the escalation tracker, and crossing the threshold promotes the
+// key. In unsound mode the read and the write run as separate top-level
+// transactions, so a concurrent add between them is lost — the update
+// tear the counter-fanin checker catches. It reports whether it
+// committed (see MGet).
+func (f *Frame) Add(key, delta int64) bool {
+	f.k1[0], f.v1[0] = key, delta
+	return f.MAdd(f.k1[:1], f.v1[:1])
 }
 
-// insertShard adds sh to the frame's sorted unique participant set.
-func (f *Frame) insertShard(sh int) {
-	for i, s := range f.wShards {
-		if s == sh {
-			return
-		}
-		if s > sh {
-			f.wShards = append(f.wShards, 0)
-			copy(f.wShards[i+1:], f.wShards[i:])
-			f.wShards[i] = sh
-			return
-		}
+// MAdd atomically adds deltas[i] to the counter under keys[i] for every
+// entry, as one composition across shards — Add's two executions over N
+// keys, logged like MPut with delta effects. In unsound mode every entry
+// splits like unsound Add. deltas must be at least len(keys) long. It
+// reports whether it committed (see MGet).
+func (f *Frame) MAdd(keys, deltas []int64) bool {
+	s := f.st
+	s.adds.Add(uint64(len(keys)))
+	if s.unsound {
+		return f.bounded(func() error {
+			for i, k := range keys {
+				v, _ := f.Get(k)
+				f.Put(k, v+deltas[i])
+			}
+			return nil
+		}) == nil
 	}
-	f.wShards = append(f.wShards, sh)
-}
-
-// lockShards takes the participants' commit locks in ascending index
-// order — the one global order every multi-shard lock site uses
-// (Store.Snapshot included), so composed operations cannot deadlock.
-func (f *Frame) lockShards() {
-	for _, sh := range f.wShards {
-		f.st.wal.Lock(sh)
+	if len(keys) == 0 {
+		return true
 	}
-}
-
-// unlockShards releases in reverse.
-func (f *Frame) unlockShards() {
-	for i := len(f.wShards) - 1; i >= 0; i-- {
-		f.st.wal.Unlock(f.wShards[i])
+	a0 := f.th.Stats.Aborts
+	f.stage(classDelta, keys, deltas)
+	ok := f.composed(f.applyFn, a0)
+	if ok && !f.fused && len(keys) == 1 && s.boostMode == BoostAuto &&
+		s.trackAdd(keys[0], f.th.Stats.Aborts-a0) {
+		s.promote(keys[0])
 	}
-}
-
-// logComposed appends the committed composition's two-phase record set
-// under the held commit locks: the intent (full effect list, each
-// effect tagged with its shard) on every participant, then the commit
-// marker on the coordinator — the lowest participant index, whose sync
-// target advances to the marker. The per-participant sync targets land
-// in f.wSeqs for syncShards.
-func (f *Frame) logComposed() {
-	w := f.st.wal
-	txid := w.NextTxID()
-	f.wSeqs = f.wSeqs[:0]
-	for _, sh := range f.wShards {
-		f.wSeqs = append(f.wSeqs, w.AppendIntent(sh, txid, f.effects))
-	}
-	f.wSeqs[0] = w.AppendCommit(f.wShards[0], txid)
-}
-
-// syncShards group-commits every participant through its sync target,
-// after the commit locks are released (wal.Log.Sync must not run under
-// them).
-func (f *Frame) syncShards() {
-	for i, sh := range f.wShards {
-		if err := f.st.wal.Sync(sh, f.wSeqs[i]); err != nil && f.walErr == nil {
-			f.walErr = err
-		}
-	}
+	return ok
 }

@@ -8,27 +8,20 @@ import (
 	"oestm/internal/boost"
 )
 
-// This file is the store half of the commutative hot-key path: counter
-// keys promoted out of the read-modify-write transaction flow into
-// boosted overlay counters (internal/boost abstract locks with
-// outheritance, per the paper's §VIII composition rule).
+// This file is the hot-key table of the commutative path: counter keys
+// promoted out of the read-modify-write transaction flow into boosted
+// overlay counters (internal/boost abstract locks with outheritance, per
+// the paper's §VIII composition rule). How each opcode class walks the
+// table — reads fold, absolute writes fold and kill, deltas bump the
+// overlay — is the commit pipeline's business (commit.go; the table in
+// ARCHITECTURE.md, "Commit pipeline").
 //
 // A promoted key's committed value is split in two: the *base* stays in
 // the shard's skip list where every transaction can see it, and pending
 // deltas accumulate in an *overlay* guarded by the key's abstract lock.
 // Adds touch only the overlay — N concurrent adds are N lock handoffs,
 // zero STM conflicts — while the key's logical value is always
-// base + overlay. Absolute operations (Put, Remove, CompareAndMove,
-// MPut) demote the key first: fold the overlay into the base under the
-// abstract lock, kill the counter, and proceed on plain state — so a
-// stale overlay can never survive an absolute write. With a WAL the
-// demote and the absolute write are one atomic step (the write and its
-// record land inside the demote transaction, or behind a re-check under
-// the commit locks for the composed forms), so a concurrent add's
-// record can never precede an absolute record whose live effect it
-// survives — replay stays order-faithful. Reads acquire the abstract
-// lock too, which is what makes a zero-sum boosted MAdd all-or-nothing
-// to a concurrent MGet auditor.
+// base + overlay.
 //
 // With a WAL, overlays are only ever mutated while additionally holding
 // the shard's commit lock, so the established cut invariants survive:
@@ -158,16 +151,16 @@ func (s *Store) promote(key int64) *hotCounter {
 
 // unpromote removes a demoted counter from the table. The caller has
 // already folded the overlay and marked the counter dead under its
-// abstract lock.
+// abstract lock (idempotent: a repeated key's counter leaves once).
 func (s *Store) unpromote(key int64, hc *hotCounter) {
 	h := &s.hot[s.ShardOf(key)]
 	h.mu.Lock()
 	if h.keys[key] == hc {
 		delete(h.keys, key)
 		h.count.Add(-1)
+		s.hotDemotions.Add(1)
 	}
 	h.mu.Unlock()
-	s.hotDemotions.Add(1)
 }
 
 // slotOf maps key to its tracker slot (same Fibonacci mix as shard
@@ -248,10 +241,6 @@ func (s *Store) BoostStats() BoostStats {
 		Demotions:  s.hotDemotions.Load(),
 	}
 }
-
-// CountAdds adds n to the applied-delta counter (the batch applier's
-// staging path reports through this; conn-mode frames count inline).
-func (s *Store) CountAdds(n int) { s.adds.Add(uint64(n)) }
 
 // BoostMode returns the store's configured mode.
 func (s *Store) BoostMode() BoostMode { return s.boostMode }

@@ -10,7 +10,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"oestm/internal/stm"
 	"oestm/internal/wal"
@@ -532,82 +534,150 @@ func TestMGetPromotionRaceConsistentCut(t *testing.T) {
 	}
 }
 
-// TestAbsoluteWriteReplayEquivalence races boosted adds against one
-// absolute overwrite per key with a WAL attached: the Put demotes while
-// the adder keeps re-promoting, so the demote→overwrite window is hit
-// mid-stream, and each key sees no later Put that could paper over a
-// mis-ordered record. Whatever state each key settles into, replaying
-// the log must reproduce it exactly — an add record slipping in front
-// of the put record whose live effect it survived would make the
-// replayed value diverge from the acked live one.
+// TestAbsoluteWriteReplayEquivalence races boosted adders against one
+// absolute write per key with a WAL attached, for each of the four
+// absolute writers: the write folds and kills the key's counter while the
+// adders keep re-promoting it, so the window between the fold and the
+// write's own record is hit mid-stream, and each key sees no later write
+// that could paper over a mis-ordered record. Whatever state each key
+// settles into, replaying the log must reproduce it exactly — an add
+// record slipping in front of the absolute record whose live effect it
+// survived would make the replayed value diverge from the acked live
+// one. Every case runs under a deadline: the writers take abstract locks
+// and commit locks against a steady adder, and a lock-order spin must
+// fail here rather than hang the suite.
 func TestAbsoluteWriteReplayEquivalence(t *testing.T) {
+	const big = int64(1) << 20
+	mput := func(f *Frame, k, partner int64) bool {
+		return f.MPut([]int64{k, partner}, []int64{big, 2 * big})
+	}
+	// The move needs the counter's current value, which the adders keep
+	// changing: retry until one read-then-move pair lands between adds.
+	cam := func(f *Frame, k, partner int64) bool {
+		for try := 0; try < 2000; {
+			v, ok := f.Get(k)
+			if !ok {
+				runtime.Gosched() // no adder has created the counter yet
+				continue
+			}
+			if f.CompareAndMove(k, partner, v) {
+				return true
+			}
+			try++
+		}
+		return false
+	}
+	cases := []struct {
+		name       string
+		twoShards  bool // the partner key lives on another shard
+		hotPartner bool // adders hammer the partner key too
+		write      func(f *Frame, k, partner int64) bool
+	}{
+		{"put", false, false, func(f *Frame, k, _ int64) bool { f.Put(k, big); return true }},
+		{"remove", false, false, func(f *Frame, k, _ int64) bool { f.Remove(k); return true }},
+		{"mput/one-shard", false, true, mput},
+		{"mput/two-shards", true, true, mput},
+		{"cam/one-shard", false, false, cam},
+		{"cam/two-shards", true, false, cam},
+	}
 	for _, eng := range composingEngines() {
-		t.Run(eng.name, func(t *testing.T) {
-			dir := t.TempDir()
-			log, _, err := wal.Open(dir, wal.Options{Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tm := eng.newi()
-			s := New(Config{Shards: 4, WAL: log, Boost: BoostOn})
-			putter := s.NewFrame(stm.NewThread(tm))
-			const iters = 150
-			keys := make([]int64, 0, iters)
-			for i := 0; i < iters; i++ {
-				k := int64(10000 + i)
-				keys = append(keys, k)
-				done := make(chan struct{})
-				var wg sync.WaitGroup
-				for a := 0; a < 3; a++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						f := s.NewFrame(stm.NewThread(tm))
-						for {
-							select {
-							case <-done:
-								return
-							default:
-							}
-							if !f.Add(k, 1) {
-								t.Error("Add did not commit")
-								return
-							}
+		for _, c := range cases {
+			t.Run(eng.name+"/"+c.name, func(t *testing.T) {
+				dir := t.TempDir()
+				log, _, err := wal.Open(dir, wal.Options{Shards: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tm := eng.newi()
+				s := New(Config{Shards: 4, WAL: log, Boost: BoostOn})
+				const iters = 40
+				var keys []int64
+				var stop atomic.Bool
+				finished := make(chan int)
+				go func() {
+					wrote := 0
+					defer func() { finished <- wrote }()
+					writer := s.NewFrame(stm.NewThread(tm))
+					for i := 0; i < iters && !stop.Load(); i++ {
+						k := int64(10000 + i)
+						// A fresh partner per iteration (strided ranges never
+						// overlap): a move refuses an occupied destination.
+						partner := int64(1)<<32 + int64(i)*64
+						for (s.ShardOf(partner) != s.ShardOf(k)) != c.twoShards {
+							partner++
 						}
-					}()
+						keys = append(keys, k, partner)
+						done := make(chan struct{})
+						var wg sync.WaitGroup
+						for a := 0; a < 3; a++ {
+							wg.Add(1)
+							go func(a int) {
+								defer wg.Done()
+								f := s.NewFrame(stm.NewThread(tm))
+								for n := 0; !stop.Load(); n++ {
+									select {
+									case <-done:
+										return
+									default:
+									}
+									target := k
+									if c.hotPartner && (a+n)%2 == 1 {
+										target = partner
+									}
+									if !f.Add(target, 1) {
+										t.Error("Add did not commit")
+										return
+									}
+								}
+							}(a)
+						}
+						runtime.Gosched()
+						if c.write(writer, k, partner) {
+							wrote++
+						}
+						close(done)
+						wg.Wait()
+					}
+				}()
+				select {
+				case wrote := <-finished:
+					if wrote == 0 {
+						t.Fatal("the absolute writer never landed a write")
+					}
+				case <-time.After(60 * time.Second):
+					stop.Store(true)
+					t.Fatal("deadline exceeded: an absolute writer is spinning against the adders")
 				}
-				runtime.Gosched()
-				putter.Put(k, 1<<20)
-				close(done)
-				wg.Wait()
-			}
-			f := s.NewFrame(stm.NewThread(tm))
-			live := map[int64]int64{}
-			for _, k := range keys {
-				v, ok := f.Get(k)
-				if !ok {
-					t.Fatalf("live Get(%d) absent", k)
+
+				type entry struct {
+					v  int64
+					ok bool
 				}
-				live[k] = v
-			}
-			if err := log.Close(); err != nil {
-				t.Fatal(err)
-			}
-			rp, err := wal.Scan(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2 := New(Config{Shards: 4})
-			th2 := stm.NewThread(eng.newi())
-			s2.Recover(th2, rp)
-			f2 := s2.NewFrame(th2)
-			for _, k := range keys {
-				if got, ok := f2.Get(k); !ok || got != live[k] {
-					t.Fatalf("replayed Get(%d) = %d,%v; live state was %d (acked add lost or duplicated by replay order)",
-						k, got, ok, live[k])
+				f := s.NewFrame(stm.NewThread(tm))
+				live := map[int64]entry{}
+				for _, k := range keys {
+					v, ok := f.Get(k)
+					live[k] = entry{v, ok}
 				}
-			}
-		})
+				if err := log.Close(); err != nil {
+					t.Fatal(err)
+				}
+				rp, err := wal.Scan(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s2 := New(Config{Shards: 4})
+				th2 := stm.NewThread(eng.newi())
+				s2.Recover(th2, rp)
+				f2 := s2.NewFrame(th2)
+				for _, k := range keys {
+					if v, ok := f2.Get(k); (entry{v, ok}) != live[k] {
+						t.Fatalf("replayed Get(%d) = %d,%v; live state was %+v (acked add lost or duplicated by replay order)",
+							k, v, ok, live[k])
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -161,16 +161,9 @@ func (s *Store) ShardCounters(i int) (ops, aborts, hotKeys uint64) {
 // for this).
 func (s *Store) Recover(th *stm.Thread, rp *wal.Replay) {
 	rp.Apply(
-		func(key, val int64) { s.shard(key).Put(th, int(key), val) },
-		func(key int64) { s.shard(key).Remove(th, int(key)) },
-		func(key, delta int64) {
-			m := s.shard(key)
-			var cur int64
-			if v, ok := m.Get(th, int(key)); ok {
-				cur, _ = v.(int64)
-			}
-			m.Put(th, int(key), cur+delta)
-		},
+		func(key, val int64) { s.apply(th, &wal.Effect{Key: key, Val: val}) },
+		func(key int64) { s.apply(th, &wal.Effect{Remove: true, Key: key}) },
+		func(key, delta int64) { s.apply(th, &wal.Effect{Delta: true, Key: key, Val: delta}) },
 	)
 }
 

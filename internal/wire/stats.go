@@ -89,6 +89,17 @@ type StatsPayload struct {
 	ShardStats []ShardTelemetry
 }
 
+// AddSTM accumulates one thread's (or one aggregate's) transaction
+// counters into the payload — the single place an stm.Stats field is
+// mapped onto the wire layout, so every merge site stays in step.
+func (p *StatsPayload) AddSTM(s stm.Stats) {
+	p.Commits += s.Commits
+	p.Aborts += s.Aborts
+	for i := range s.AbortsByCause {
+		p.AbortsByCause[i] += s.AbortsByCause[i]
+	}
+}
+
 // ShardTelemetry is one shard's counters inside StatsPayload.ShardStats.
 // Ops counts key-operations routed to the shard (each key of a composed
 // operation counts once; batch mode counts the committed write set).

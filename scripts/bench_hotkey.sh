@@ -45,7 +45,7 @@ go build -o "$TMP/compose-server" ./cmd/compose-server
 go build -o "$TMP/compose-load" ./cmd/compose-load
 go build -o "$TMP/httpget" ./scripts/httpget
 
-run_side() { # $1 = on|off; leaves the CSV data row in $TMP/$1.row
+run_side() { # $1 = on|off; leaves the load result in $TMP/$1.csv
     local boost=$1 csv="$TMP/$1.csv"
     GOMAXPROCS=$SRV_PROCS "$TMP/compose-server" -addr "$ADDR" -admin-addr "$ADMIN" \
         -engine "$ENGINE" -shards "$SHARDS" -boost "$boost" >"$TMP/$1.log" 2>&1 &
@@ -61,7 +61,6 @@ run_side() { # $1 = on|off; leaves the CSV data row in $TMP/$1.row
     wait "$SRV"
     SRV=""
     grep -q drained "$TMP/$1.log" # the A/B is only valid if the drain stayed clean
-    sed -n 2p "$csv" >"$TMP/$1.row"
 }
 
 # abort_causes renders one side's compose_aborts_total series as a JSON
@@ -73,21 +72,20 @@ abort_causes() { # $1 = on|off
 
 run_side on
 run_side off
-ON_ROW=$(cat "$TMP/on.row")
-OFF_ROW=$(cat "$TMP/off.row")
 
-# Column positions come from harness.CSVHeader: ops_per_ms=9,
-# abort_rate=10, aborts=19; the hot-key block is the trailing
-# adds,boosted_ops,hot_promotions,hot_demotions.
-emit_side() {
-    echo "$1" | awk -F, '{ printf "{\"ops_per_ms\": %s, \"abort_rate\": %s, \"aborts\": %s, \"adds\": %s, \"boosted_ops\": %s, \"hot_promotions\": %s, \"hot_demotions\": %s}", $9, $10, $19, $(NF-3), $(NF-2), $(NF-1), $NF }'
+# Cells are selected by harness.CSVHeader column name (scripts/csvcol), so
+# a new column block cannot shift them.
+CSVCOL="$(dirname "$0")/csvcol"
+emit_side() { # $1 = on|off
+    "$CSVCOL" "$TMP/$1.csv" ops_per_ms abort_rate aborts adds boosted_ops hot_promotions hot_demotions |
+        awk '{ printf "{\"ops_per_ms\": %s, \"abort_rate\": %s, \"aborts\": %s, \"adds\": %s, \"boosted_ops\": %s, \"hot_promotions\": %s, \"hot_demotions\": %s}", $1, $2, $3, $4, $5, $6, $7 }'
 }
 
 # runtime.NumCPU, not nproc: the Go runtime's affinity/cgroup-aware
 # count is what the servers actually scheduled on.
 CORES=$(go run ./scripts/numcpu)
-SPEEDUP=$(awk -F, -v off="$(echo "$OFF_ROW" | cut -d, -f9)" \
-    -v on="$(echo "$ON_ROW" | cut -d, -f9)" \
+SPEEDUP=$(awk -v off="$("$CSVCOL" "$TMP/off.csv" ops_per_ms)" \
+    -v on="$("$CSVCOL" "$TMP/on.csv" ops_per_ms)" \
     'BEGIN { printf "%.3f", on / off }')
 
 {
@@ -103,8 +101,8 @@ SPEEDUP=$(awk -F, -v off="$(echo "$OFF_ROW" | cut -d, -f9)" \
     echo "  \"mix\": \"$MIX\","
     echo "  \"seed\": $SEED,"
     echo "  \"duration\": \"$DURATION\","
-    echo "  \"boosted\": $(emit_side "$ON_ROW"),"
-    echo "  \"rmw\": $(emit_side "$OFF_ROW"),"
+    echo "  \"boosted\": $(emit_side on),"
+    echo "  \"rmw\": $(emit_side off),"
     echo "  \"boosted_abort_causes\": {$(abort_causes on)},"
     echo "  \"rmw_abort_causes\": {$(abort_causes off)},"
     echo "  \"boosted_over_rmw_speedup\": $SPEEDUP,"

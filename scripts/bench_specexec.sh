@@ -37,7 +37,7 @@ go build -o "$TMP/compose-server" ./cmd/compose-server
 go build -o "$TMP/compose-load" ./cmd/compose-load
 go build -o "$TMP/httpget" ./scripts/httpget
 
-run_side() { # $1 = conn|batch; leaves the CSV data row in $TMP/$1.row
+run_side() { # $1 = conn|batch; leaves the load result in $TMP/$1.csv
     local exec_mode=$1 csv="$TMP/$1.csv"
     "$TMP/compose-server" -addr "$ADDR" -admin-addr "$ADMIN" -engine "$ENGINE" \
         -shards "$SHARDS" -exec "$exec_mode" >"$TMP/$1.log" 2>&1 &
@@ -52,7 +52,6 @@ run_side() { # $1 = conn|batch; leaves the CSV data row in $TMP/$1.row
     wait "$SRV"
     SRV=""
     grep -q drained "$TMP/$1.log" # the A/B is only valid if the drain stayed clean
-    sed -n 2p "$csv" >"$TMP/$1.row"
 }
 
 # abort_causes renders one side's compose_aborts_total series as a JSON
@@ -64,23 +63,21 @@ abort_causes() { # $1 = conn|batch
 
 run_side conn
 run_side batch
-CONN_ROW=$(cat "$TMP/conn.row")
-BATCH_ROW=$(cat "$TMP/batch.row")
 
-# Column positions come from harness.CSVHeader: ops_per_ms=9,
-# lat_p50_us=12, lat_p99_us=14; the trailing block is
-# wal,wal_appends,wal_syncs,wal_bytes,exec,spec_execs,spec_reexecs,
-# spec_validation_fails,adds,boosted_ops,hot_promotions,hot_demotions.
-emit_side() {
-    echo "$1" | awk -F, '{ printf "{\"ops_per_ms\": %s, \"lat_p50_us\": %s, \"lat_p99_us\": %s, \"exec\": \"%s\", \"spec_execs\": %s, \"spec_reexecs\": %s, \"spec_validation_fails\": %s}", $9, $12, $14, $(NF-7), $(NF-6), $(NF-5), $(NF-4) }'
+# Cells are selected by harness.CSVHeader column name (scripts/csvcol), so
+# a new column block cannot shift them.
+CSVCOL="$(dirname "$0")/csvcol"
+emit_side() { # $1 = conn|batch
+    "$CSVCOL" "$TMP/$1.csv" ops_per_ms lat_p50_us lat_p99_us exec spec_execs spec_reexecs spec_validation_fails |
+        awk '{ printf "{\"ops_per_ms\": %s, \"lat_p50_us\": %s, \"lat_p99_us\": %s, \"exec\": \"%s\", \"spec_execs\": %s, \"spec_reexecs\": %s, \"spec_validation_fails\": %s}", $1, $2, $3, $4, $5, $6, $7 }'
 }
 
 # runtime.NumCPU, not nproc: the Go runtime's affinity/cgroup-aware
 # count is what the servers actually scheduled on, so re-records from
 # bigger machines stay comparable.
 CORES=$(go run ./scripts/numcpu)
-SPEEDUP=$(awk -F, -v conn="$(echo "$CONN_ROW" | cut -d, -f9)" \
-    -v batch="$(echo "$BATCH_ROW" | cut -d, -f9)" \
+SPEEDUP=$(awk -v conn="$("$CSVCOL" "$TMP/conn.csv" ops_per_ms)" \
+    -v batch="$("$CSVCOL" "$TMP/batch.csv" ops_per_ms)" \
     'BEGIN { printf "%.3f", batch / conn }')
 
 {
@@ -94,8 +91,8 @@ SPEEDUP=$(awk -F, -v conn="$(echo "$CONN_ROW" | cut -d, -f9)" \
     echo "  \"keys\": $KEYS,"
     echo "  \"dist\": \"$DIST\","
     echo "  \"duration\": \"$DURATION\","
-    echo "  \"conn\": $(emit_side "$CONN_ROW"),"
-    echo "  \"batch\": $(emit_side "$BATCH_ROW"),"
+    echo "  \"conn\": $(emit_side conn),"
+    echo "  \"batch\": $(emit_side batch),"
     echo "  \"conn_abort_causes\": {$(abort_causes conn)},"
     echo "  \"batch_abort_causes\": {$(abort_causes batch)},"
     echo "  \"batch_over_conn_speedup\": $SPEEDUP,"
