@@ -49,8 +49,9 @@ type Frame struct {
 	fused   bool // running inside a boosted transaction holding hcs' locks
 	killed  int  // leading hcs an absolute operation folded and killed
 	expect  int64
-	// Results: a read's outputs (the caller's buffers), and the previous
-	// value and presence the last applied effect found.
+	// Results: a read's outputs (the caller's buffers), and what the last
+	// elementary effect found: the key's presence, and for a remove the
+	// value it displaced.
 	vals []int64
 	oks  []bool
 	prev int64

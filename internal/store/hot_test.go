@@ -590,7 +590,7 @@ func TestAbsoluteWriteReplayEquivalence(t *testing.T) {
 				}
 				tm := eng.newi()
 				s := New(Config{Shards: 4, WAL: log, Boost: BoostOn})
-				const iters = 40
+				const iters = 150
 				var keys []int64
 				var stop atomic.Bool
 				finished := make(chan int)
