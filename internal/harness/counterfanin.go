@@ -22,13 +22,10 @@ package harness
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"oestm/internal/server"
-	"oestm/internal/stats"
-	"oestm/internal/wire"
 )
 
 // CounterFaninScenario is the Scenario label of counter-fanin results.
@@ -69,73 +66,46 @@ func RunCounterFanin(cfg LoadConfig) (Result, error) {
 	}
 	wantTransfer := int64(len(transfer)) * counterFaninInitial
 
-	statsClient, err := server.DialTimeout(cfg.Addr, 5*time.Second)
-	if err != nil {
-		return Result{}, fmt.Errorf("harness: dial %s: %w", cfg.Addr, err)
-	}
-	defer statsClient.Close()
-	var ident wire.StatsPayload
-	if err := statsClient.Stats(&ident); err != nil {
-		return Result{}, fmt.Errorf("harness: stats: %w", err)
-	}
-
-	// Seed the transfer counters (quiescent, so the absolute puts are
-	// safe even against an unsound server) and clear any fan-in residue.
-	initVals := make([]int64, len(transfer))
-	for i := range initVals {
-		initVals[i] = counterFaninInitial
-	}
-	if err := statsClient.MPut(transfer, initVals); err != nil {
-		return Result{}, fmt.Errorf("harness: seed transfer counters: %w", err)
-	}
-	for _, k := range fanin {
-		if _, _, err := statsClient.Remove(k); err != nil {
-			return Result{}, fmt.Errorf("harness: clear fan-in counter %d: %w", k, err)
-		}
-	}
-
 	var (
-		stop       atomic.Bool
-		measuring  atomic.Bool
 		violations atomic.Uint64
 		acked      atomic.Int64 // fan-in deltas acknowledged across workers
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		totalOps   uint64
-		totalHist  = new(stats.Histogram)
-		firstErr   error
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	// conserved reports whether one snapshot of keys sums to want.
+	conserved := func(vals []int64, want int64) bool {
+		var sum int64
+		for _, v := range vals {
+			sum += v
 		}
-		mu.Unlock()
-		stop.Store(true)
+		return sum == want
 	}
-	for i := 0; i < cfg.Conns; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
+	return runWireWindow(cfg, wireScenario{
+		name: CounterFaninScenario,
+		// Seed the transfer counters (quiescent, so the absolute puts are
+		// safe even against an unsound server) and clear any fan-in residue.
+		setup: func(ctl *server.Client) error {
+			initVals := make([]int64, len(transfer))
+			for i := range initVals {
+				initVals[i] = counterFaninInitial
+			}
+			if err := ctl.MPut(transfer, initVals); err != nil {
+				return fmt.Errorf("harness: seed transfer counters: %w", err)
+			}
+			for _, k := range fanin {
+				if _, _, err := ctl.Remove(k); err != nil {
+					return fmt.Errorf("harness: clear fan-in counter %d: %w", k, err)
+				}
+			}
+			return nil
+		},
+		newWorker: func(idx int) (func() (int, error), func(), error) {
 			cl, err := server.DialTimeout(cfg.Addr, 5*time.Second)
 			if err != nil {
-				fail(err)
-				return
+				return nil, nil, err
 			}
-			defer cl.Close()
 			rng := rand.New(rand.NewPCG(cfg.Seed, uint64(idx)+1))
 			madd := [2]int64{}
 			deltas := [2]int64{}
-			hist := new(stats.Histogram)
-			var ops uint64
-			var prev time.Time
-			counting := false
-			for !stop.Load() {
-				if !counting && measuring.Load() {
-					ops = 0
-					counting = true
-					prev = time.Now()
-				}
+			step := func() (int, error) {
 				d := rng.Int64N(100) + 1
 				switch r := rng.IntN(100); {
 				case r < 40: // fan-in add, acked delta tracked exactly
@@ -143,8 +113,7 @@ func RunCounterFanin(cfg LoadConfig) (Result, error) {
 					if err := cl.Add(k, d); err == nil {
 						acked.Add(d)
 					} else if err := ignoreExhausted(err); err != nil {
-						fail(fmt.Errorf("worker %d: add: %w", idx, err))
-						return
+						return 0, fmt.Errorf("add: %w", err)
 					}
 				case r < 70: // zero-sum transfer between two counters
 					a := rng.IntN(len(transfer))
@@ -152,127 +121,38 @@ func RunCounterFanin(cfg LoadConfig) (Result, error) {
 					madd[0], madd[1] = transfer[a], transfer[b]
 					deltas[0], deltas[1] = d, -d
 					if err := ignoreExhausted(cl.MAdd(madd[:], deltas[:])); err != nil {
-						fail(fmt.Errorf("worker %d: madd: %w", idx, err))
-						return
+						return 0, fmt.Errorf("madd: %w", err)
 					}
 				default: // audit: one atomic snapshot must conserve the total
 					vals, _, err := cl.MGet(transfer)
 					if err := ignoreExhausted(err); err != nil {
-						fail(fmt.Errorf("worker %d: audit mget: %w", idx, err))
-						return
+						return 0, fmt.Errorf("audit mget: %w", err)
 					}
-					if err == nil {
-						var sum int64
-						for _, v := range vals {
-							sum += v
-						}
-						if sum != wantTransfer {
-							violations.Add(1)
-						}
+					if err == nil && !conserved(vals, wantTransfer) {
+						violations.Add(1)
 					}
 				}
-				ops++
-				if counting {
-					now := time.Now()
-					hist.Record(now.Sub(prev))
-					prev = now
-				}
+				return 1, nil
 			}
-			if !counting {
-				ops = 0
+			return step, func() { cl.Close() }, nil
+		},
+		// End-state checks, quiesced: conservation again, and fan-in
+		// exactness against the acknowledged deltas.
+		check: func(ctl *server.Client) (uint64, error) {
+			vals, _, err := ctl.MGet(transfer)
+			if err != nil {
+				return 0, fmt.Errorf("harness: final transfer check: %w", err)
 			}
-			mu.Lock()
-			totalOps += ops
-			totalHist.Merge(hist)
-			mu.Unlock()
-		}(i)
-	}
-
-	time.Sleep(cfg.Warmup)
-	var s0 wire.StatsPayload
-	err0 := statsClient.Stats(&s0)
-	measuring.Store(true)
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	elapsed := time.Since(start)
-	wg.Wait()
-	var s1 wire.StatsPayload
-	err1 := statsClient.Stats(&s1)
-
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-	if err0 != nil {
-		return Result{}, fmt.Errorf("harness: stats at window open: %w", err0)
-	}
-	if err1 != nil {
-		return Result{}, fmt.Errorf("harness: stats at window close: %w", err1)
-	}
-
-	// End-state checks, quiesced: conservation again, and fan-in
-	// exactness against the acknowledged deltas.
-	vals, _, err := statsClient.MGet(transfer)
-	if err != nil {
-		return Result{}, fmt.Errorf("harness: final transfer check: %w", err)
-	}
-	var sum int64
-	for _, v := range vals {
-		sum += v
-	}
-	if sum != wantTransfer {
-		violations.Add(1)
-	}
-	vals, _, err = statsClient.MGet(fanin)
-	if err != nil {
-		return Result{}, fmt.Errorf("harness: final fan-in check: %w", err)
-	}
-	sum = 0
-	for _, v := range vals {
-		sum += v
-	}
-	if sum != acked.Load() {
-		violations.Add(1)
-	}
-
-	delta := statsDelta(&s1, &s0)
-	walLabel := "off"
-	if ident.WALEnabled {
-		walLabel = "on"
-	}
-	execLabel := ident.Exec
-	if execLabel == "" {
-		execLabel = server.ExecConn
-	}
-	r := Result{
-		Engine:              ident.Engine,
-		Scenario:            CounterFaninScenario,
-		Structure:           fmt.Sprintf("store/%dshards", ident.Shards),
-		CM:                  ident.CM,
-		WAL:                 walLabel,
-		WALAppends:          satSub(s1.WALAppends, s0.WALAppends),
-		WALSyncs:            satSub(s1.WALSyncs, s0.WALSyncs),
-		WALBytes:            satSub(s1.WALBytes, s0.WALBytes),
-		Exec:                execLabel,
-		SpecExecs:           satSub(s1.SpecExecs, s0.SpecExecs),
-		SpecReexecs:         satSub(s1.SpecReexecs, s0.SpecReexecs),
-		SpecValidationFails: satSub(s1.SpecValidationFails, s0.SpecValidationFails),
-		Adds:                satSub(s1.Adds, s0.Adds),
-		BoostedOps:          satSub(s1.BoostedOps, s0.BoostedOps),
-		HotPromotions:       satSub(s1.HotPromotions, s0.HotPromotions),
-		HotDemotions:        satSub(s1.HotDemotions, s0.HotDemotions),
-		Dist:                cfg.Dist.Label(),
-		Theta:               cfg.Dist.ZipfTheta(),
-		Threads:             cfg.Conns,
-		OpsPerMs:            float64(totalOps) / float64(elapsed.Milliseconds()+1),
-		AbortRate:           delta.AbortRate(),
-		Violations:          violations.Load(),
-		Ops:                 totalOps,
-		Commits:             delta.Commits,
-		Aborts:              delta.Aborts,
-		AbortsByCause:       delta.AbortsByCause,
-		Elapsed:             elapsed,
-	}
-	r.setLatency(totalHist)
-	return r, nil
+			if !conserved(vals, wantTransfer) {
+				violations.Add(1)
+			}
+			if vals, _, err = ctl.MGet(fanin); err != nil {
+				return 0, fmt.Errorf("harness: final fan-in check: %w", err)
+			}
+			if !conserved(vals, acked.Load()) {
+				violations.Add(1)
+			}
+			return violations.Load(), nil
+		},
+	})
 }

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,12 +51,16 @@ func TestCounterFaninExactSum(t *testing.T) {
 				MaxRetries: 2000,
 				Boost:      store.BoostOn,
 			})
+			var progress bytes.Buffer
 			r, err := RunCounterFanin(LoadConfig{
 				Addr:     srv.Addr().String(),
 				Conns:    4,
 				Duration: 80 * time.Millisecond,
 				Warmup:   20 * time.Millisecond,
 				Keys:     16,
+
+				ReportEvery: 20 * time.Millisecond,
+				ReportTo:    &progress,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -65,8 +71,18 @@ func TestCounterFaninExactSum(t *testing.T) {
 			if r.Scenario != CounterFaninScenario || r.Ops == 0 {
 				t.Fatalf("malformed result: %+v", r)
 			}
-			if r.Adds == 0 || r.BoostedOps == 0 {
-				t.Fatalf("boosted path unused: adds=%d boosted=%d", r.Adds, r.BoostedOps)
+			if r.Server.Adds == 0 || r.Server.BoostedOps == 0 {
+				t.Fatalf("boosted path unused: adds=%d boosted=%d", r.Server.Adds, r.Server.BoostedOps)
+			}
+			// The checker runs on the same measured window as RunLoad, so
+			// it honours -report-every and measures the client's
+			// allocation rate (the in-process server's stats scrapes
+			// alone make that non-zero here).
+			if !strings.Contains(progress.String(), "ops/s=") {
+				t.Fatalf("report-every produced no progress lines: %q", progress.String())
+			}
+			if r.AllocsPerOp <= 0 {
+				t.Fatalf("allocs/op not measured: %+v", r)
 			}
 		})
 	}
@@ -100,7 +116,7 @@ func TestCounterFaninBatchMode(t *testing.T) {
 	if r.Violations != 0 {
 		t.Fatalf("batch mode: counter conservation broken: %d violations", r.Violations)
 	}
-	if r.Adds == 0 {
+	if r.Server.Adds == 0 {
 		t.Fatalf("no adds attributed: %+v", r)
 	}
 }

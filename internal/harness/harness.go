@@ -16,6 +16,7 @@ import (
 	"oestm/internal/stm"
 	"oestm/internal/swisstm"
 	"oestm/internal/tl2"
+	"oestm/internal/wire"
 	"oestm/internal/workload"
 )
 
@@ -165,36 +166,13 @@ type Result struct {
 	// average() merges it across runs before recomputing percentiles.
 	// May be nil for hand-built Results.
 	Hist *stats.Histogram
-	// WAL is the durability axis of networked load results: "on" or
-	// "off" for server measurements, "-" (rendered for the empty string)
-	// for in-process runs, which have no serving-layer log. The counters
-	// are the server's WAL deltas over the measured window (records
-	// appended, flush batches, bytes written) — the measured cost of
-	// durability, reported next to the throughput it taxed.
-	WAL        string
-	WALAppends uint64
-	WALSyncs   uint64
-	WALBytes   uint64
-	// Exec is the execution-model axis of networked load results: the
-	// server's mode ("conn" or "batch"), "-" (rendered for the empty
-	// string) for in-process runs. The spec_* counters are the
-	// speculative executor's deltas over the measured window — Speculate
-	// attempts, attempts beyond a transaction's first, and completed
-	// attempts whose read set failed validation; all zero in conn mode.
-	Exec                string
-	SpecExecs           uint64
-	SpecReexecs         uint64
-	SpecValidationFails uint64
-	// Adds/BoostedOps/HotPromotions/HotDemotions are the commutative
-	// hot-key path's deltas over the measured window: delta operations
-	// accepted, how many ran boosted (abstract per-key locks, no STM
-	// conflict), how many keys the adaptive tracker promoted, and how
-	// many promoted keys were demoted (folded back) by absolute
-	// operations; zero for in-process runs.
-	Adds          uint64
-	BoostedOps    uint64
-	HotPromotions uint64
-	HotDemotions  uint64
+	// Server is the server's telemetry over the measured window for
+	// networked results: every counter of wire.StatsPayload as a delta
+	// between the scrapes at the window's edges (StatsPayload.Sub), with
+	// identity and gauges as of its close. The CSV's trailing columns
+	// (wal, exec, the spec_* and hot-key counters; wire.StatsTable says
+	// which) read it; nil for in-process runs, whose cells render "-"/0.
+	Server *wire.StatsPayload
 }
 
 // setLatency installs a measured histogram and its headline percentiles.
@@ -225,17 +203,21 @@ type measurement struct {
 	Hist    *stats.Histogram // merged per-worker latency histograms
 }
 
-// AllocsPerOp divides the window's allocation count by its operations.
-func (m measurement) AllocsPerOp() float64 {
-	if m.Ops == 0 {
-		return 0
+// into writes the measured axes of r — throughput in the paper's unit
+// (ops/ms), abort rate, allocs/op, the raw counts and the latency
+// percentiles — leaving r's coordinates to the caller.
+func (m measurement) into(r *Result) {
+	r.OpsPerMs = float64(m.Ops) / float64(m.Elapsed.Milliseconds()+1)
+	r.AbortRate = m.Totals.AbortRate()
+	if m.Ops > 0 {
+		r.AllocsPerOp = float64(m.Mallocs) / float64(m.Ops)
 	}
-	return float64(m.Mallocs) / float64(m.Ops)
-}
-
-// OpsPerMs is the window's throughput in the paper's unit.
-func (m measurement) OpsPerMs() float64 {
-	return float64(m.Ops) / float64(m.Elapsed.Milliseconds()+1)
+	r.Ops = m.Ops
+	r.Commits = m.Totals.Commits
+	r.Aborts = m.Totals.Aborts
+	r.AbortsByCause = m.Totals.AbortsByCause
+	r.Elapsed = m.Elapsed
+	r.setLatency(m.Hist)
 }
 
 // runMeasured is the measurement protocol shared by the mix and scenario
@@ -335,24 +317,16 @@ func RunSTM(eng Engine, cfg RunConfig) Result {
 		cmName = cm.DefaultName
 	}
 	r := Result{
-		Engine:        eng.Name,
-		Scenario:      MixScenario,
-		Structure:     cfg.Structure,
-		BulkPct:       cfg.Workload.BulkPct,
-		CM:            cmName,
-		Dist:          cfg.Workload.Dist.Label(),
-		Theta:         cfg.Workload.Dist.ZipfTheta(),
-		Threads:       cfg.Threads,
-		OpsPerMs:      m.OpsPerMs(),
-		AbortRate:     m.Totals.AbortRate(),
-		AllocsPerOp:   m.AllocsPerOp(),
-		Ops:           m.Ops,
-		Commits:       m.Totals.Commits,
-		Aborts:        m.Totals.Aborts,
-		AbortsByCause: m.Totals.AbortsByCause,
-		Elapsed:       m.Elapsed,
+		Engine:    eng.Name,
+		Scenario:  MixScenario,
+		Structure: cfg.Structure,
+		BulkPct:   cfg.Workload.BulkPct,
+		CM:        cmName,
+		Dist:      cfg.Workload.Dist.Label(),
+		Theta:     cfg.Workload.Dist.ZipfTheta(),
+		Threads:   cfg.Threads,
 	}
-	r.setLatency(m.Hist)
+	m.into(&r)
 	return r
 }
 
@@ -364,56 +338,21 @@ func RunSequential(cfg RunConfig) Result {
 	workload.FillSeq(set, cfg.Workload)
 	gen := workload.NewGen(cfg.Workload, 0)
 
-	var stop, measuring atomic.Bool
-	hist := new(stats.Histogram)
-	counted := make(chan uint64, 1)
-	go func() {
-		var ops uint64
-		var prev time.Time
-		baseTaken := false
-		for !stop.Load() {
-			if !baseTaken && measuring.Load() {
-				ops = 0
-				baseTaken = true
-				prev = time.Now()
-			}
-			workload.ApplySeq(set, gen.Next())
-			ops++
-			if baseTaken {
-				now := time.Now()
-				hist.Record(now.Sub(prev))
-				prev = now
-			}
-		}
-		counted <- ops
-	}()
-	time.Sleep(cfg.Warmup)
-	m0 := mallocs()
-	measuring.Store(true)
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	measured := <-counted
-	elapsed := time.Since(start)
-	m1 := mallocs()
-	allocsPerOp := 0.0
-	if measured > 0 {
-		allocsPerOp = float64(m1-m0) / float64(measured)
-	}
+	// The same measurement protocol as the engines, with one worker whose
+	// thread runs no transactions (its counters stay zero).
+	m := runMeasured(1, cfg.Warmup, cfg.Duration, func(int) (*stm.Thread, func()) {
+		return new(stm.Thread), func() { workload.ApplySeq(set, gen.Next()) }
+	}, nil)
 	r := Result{
-		Engine:      "sequential",
-		Scenario:    MixScenario,
-		Structure:   cfg.Structure,
-		BulkPct:     cfg.Workload.BulkPct,
-		CM:          "-", // no transactions, no contention management
-		Dist:        cfg.Workload.Dist.Label(),
-		Theta:       cfg.Workload.Dist.ZipfTheta(),
-		Threads:     1,
-		OpsPerMs:    float64(measured) / float64(elapsed.Milliseconds()+1),
-		AllocsPerOp: allocsPerOp,
-		Ops:         measured,
-		Elapsed:     elapsed,
+		Engine:    "sequential",
+		Scenario:  MixScenario,
+		Structure: cfg.Structure,
+		BulkPct:   cfg.Workload.BulkPct,
+		CM:        "-", // no transactions, no contention management
+		Dist:      cfg.Workload.Dist.Label(),
+		Theta:     cfg.Workload.Dist.ZipfTheta(),
+		Threads:   1,
 	}
-	r.setLatency(hist)
+	m.into(&r)
 	return r
 }

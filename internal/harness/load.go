@@ -6,11 +6,9 @@
 // lands in the same Result/table/CSV pipeline as Figs. 6-8 and the
 // scenario suite, directly comparable column for column.
 //
-// Identity columns (engine, cm) are not configured here: they are read
-// from the server's stats endpoint, which is also snapshotted at the
-// measured window's edges to attribute commit/abort (and per-cause)
-// deltas to the run. The server is assumed dedicated to this load while
-// the window is open.
+// The measured window itself — workers, stats scrapes at its edges,
+// progress lines, Result — is runWireWindow, shared with the
+// counter-fanin checker.
 package harness
 
 import (
@@ -25,7 +23,6 @@ import (
 
 	"oestm/internal/server"
 	"oestm/internal/stats"
-	"oestm/internal/stm"
 	"oestm/internal/wire"
 	"oestm/internal/workload"
 )
@@ -187,7 +184,7 @@ func (cfg LoadConfig) normalize() LoadConfig {
 
 // RunLoad drives one measurement: dial, optionally fill, warm up, measure
 // throughput and client-side latency over the window, and attribute the
-// server's commit/abort deltas to it. The Result slots into the standard
+// server's telemetry delta to it. The Result slots into the standard
 // tables and CSV (Scenario "server"; Structure identifies the store and
 // its shard count; Threads is the connection count; AllocsPerOp is the
 // *client* process's allocation rate — near zero by construction, it
@@ -207,21 +204,61 @@ func RunLoad(cfg LoadConfig) (Result, error) {
 		return Result{}, fmt.Errorf("harness: invalid load shape: conns=%d keys=%d span=%d duration=%v warmup=%v maxval=%d pipeline=%d",
 			cfg.Conns, cfg.Keys, cfg.Span, cfg.Duration, cfg.Warmup, cfg.MaxVal, cfg.Pipeline)
 	}
+	return runWireWindow(cfg, wireScenario{
+		name: LoadScenario,
+		setup: func(ctl *server.Client) error {
+			if cfg.SkipFill {
+				return nil
+			}
+			if err := fillStore(ctl, cfg); err != nil {
+				return fmt.Errorf("harness: fill: %w", err)
+			}
+			return nil
+		},
+		newWorker: func(idx int) (func() (int, error), func(), error) {
+			w, err := newLoadWorker(cfg, idx)
+			if err != nil {
+				return nil, nil, err
+			}
+			return w.step, func() { w.cl.Close() }, nil
+		},
+	})
+}
 
-	statsClient, err := server.DialTimeout(cfg.Addr, 5*time.Second)
+// wireScenario is what one networked scenario adds to the shared
+// measured window of runWireWindow.
+type wireScenario struct {
+	// name is the Result's Scenario label.
+	name string
+	// setup prepares the keyspace over the control connection, before
+	// any worker starts (so it is excluded from the window's deltas).
+	setup func(ctl *server.Client) error
+	// newWorker dials worker idx's connection and returns its closed-loop
+	// step — one round trip, reporting how many requests it completed —
+	// and the connection's teardown.
+	newWorker func(idx int) (step func() (int, error), close func(), err error)
+	// check, when non-nil, runs quiesced after the workers exit and
+	// returns the run's invariant-violation count.
+	check func(ctl *server.Client) (uint64, error)
+}
+
+// runWireWindow is the measurement protocol of every networked scenario:
+// one control connection for setup, stats scrapes and the end-state
+// check; cfg.Conns workers looping sc.newWorker's step through the
+// warmup and the measured window; the server's telemetry scraped at the
+// window's edges and diffed (StatsPayload.Sub) into Result.Server, which
+// also supplies the identity columns — engine, cm, shard count are the
+// server's, not configured here. The server is assumed dedicated to this
+// load while the window is open. A failing worker ends the run at once:
+// the coordinator waits on the failure next to its timers.
+func runWireWindow(cfg LoadConfig, sc wireScenario) (Result, error) {
+	ctl, err := server.DialTimeout(cfg.Addr, 5*time.Second)
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: dial %s: %w", cfg.Addr, err)
 	}
-	defer statsClient.Close()
-	var ident wire.StatsPayload
-	if err := statsClient.Stats(&ident); err != nil {
-		return Result{}, fmt.Errorf("harness: stats: %w", err)
-	}
-
-	if !cfg.SkipFill {
-		if err := fillStore(statsClient, cfg); err != nil {
-			return Result{}, fmt.Errorf("harness: fill: %w", err)
-		}
+	defer ctl.Close()
+	if err := sc.setup(ctl); err != nil {
+		return Result{}, err
 	}
 
 	var (
@@ -229,39 +266,39 @@ func RunLoad(cfg LoadConfig) (Result, error) {
 		measuring atomic.Bool
 		wg        sync.WaitGroup
 		mu        sync.Mutex
-		totalOps  uint64
-		totalHist = new(stats.Histogram)
+		m         = measurement{Hist: new(stats.Histogram)}
 		firstErr  error
+		failed    = make(chan struct{}) // closed by the first fail
 	)
 	fail := func(err error) {
 		mu.Lock()
+		defer mu.Unlock()
 		if firstErr == nil {
 			firstErr = err
+			close(failed)
 		}
-		mu.Unlock()
 		stop.Store(true)
 	}
 	for i := 0; i < cfg.Conns; i++ {
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			w, err := newLoadWorker(cfg, idx)
+			step, closeConn, err := sc.newWorker(idx)
 			if err != nil {
 				fail(err)
 				return
 			}
-			defer w.cl.Close()
+			defer closeConn()
 			hist := new(stats.Histogram)
 			var ops uint64
 			var prev time.Time
 			counting := false
 			for !stop.Load() {
 				if !counting && measuring.Load() {
-					ops = 0
 					counting = true
 					prev = time.Now()
 				}
-				n, err := w.step()
+				n, err := step()
 				if err != nil {
 					fail(fmt.Errorf("worker %d: %w", idx, err))
 					return
@@ -280,106 +317,89 @@ func RunLoad(cfg LoadConfig) (Result, error) {
 				}
 			}
 			mu.Lock()
-			totalOps += ops
-			totalHist.Merge(hist)
+			m.Ops += ops
+			m.Hist.Merge(hist)
 			mu.Unlock()
 		}(i)
 	}
 
-	time.Sleep(cfg.Warmup)
-	var s0 wire.StatsPayload
-	err0 := statsClient.Stats(&s0)
+	select {
+	case <-time.After(cfg.Warmup):
+	case <-failed:
+	}
+	var s0, s1 wire.StatsPayload
+	if err := ctl.Stats(&s0); err != nil {
+		fail(fmt.Errorf("harness: stats at window open: %w", err))
+	}
 	m0 := mallocs()
 	measuring.Store(true)
 	start := time.Now()
-	if cfg.ReportEvery > 0 && err0 == nil {
-		reportLoop(statsClient, cfg, &s0, start)
-	} else {
-		time.Sleep(cfg.Duration)
-	}
+	sleepWindow(ctl, cfg, &s0, start, failed)
 	stop.Store(true)
-	elapsed := time.Since(start)
-	m1 := mallocs()
+	m.Elapsed = time.Since(start)
+	m.Mallocs = mallocs() - m0
 	wg.Wait()
-	var s1 wire.StatsPayload
-	err1 := statsClient.Stats(&s1)
-
+	if err := ctl.Stats(&s1); err != nil {
+		fail(fmt.Errorf("harness: stats at window close: %w", err))
+	}
 	if firstErr != nil {
 		return Result{}, firstErr
 	}
-	if err0 != nil {
-		return Result{}, fmt.Errorf("harness: stats at window open: %w", err0)
-	}
-	if err1 != nil {
-		return Result{}, fmt.Errorf("harness: stats at window close: %w", err1)
+	var violations uint64
+	if sc.check != nil {
+		if violations, err = sc.check(ctl); err != nil {
+			return Result{}, err
+		}
 	}
 
-	delta := statsDelta(&s1, &s0)
-	walLabel := "off"
-	if ident.WALEnabled {
-		walLabel = "on"
-	}
-	execLabel := ident.Exec
-	if execLabel == "" {
-		execLabel = server.ExecConn // pre-exec servers are conn-mode
-	}
+	s1.Sub(&s0)
+	m.Totals = s1.STM()
 	r := Result{
-		Engine:              ident.Engine,
-		Scenario:            LoadScenario,
-		Structure:           fmt.Sprintf("store/%dshards", ident.Shards),
-		CM:                  ident.CM,
-		WAL:                 walLabel,
-		WALAppends:          satSub(s1.WALAppends, s0.WALAppends),
-		WALSyncs:            satSub(s1.WALSyncs, s0.WALSyncs),
-		WALBytes:            satSub(s1.WALBytes, s0.WALBytes),
-		Exec:                execLabel,
-		SpecExecs:           satSub(s1.SpecExecs, s0.SpecExecs),
-		SpecReexecs:         satSub(s1.SpecReexecs, s0.SpecReexecs),
-		SpecValidationFails: satSub(s1.SpecValidationFails, s0.SpecValidationFails),
-		Adds:                satSub(s1.Adds, s0.Adds),
-		BoostedOps:          satSub(s1.BoostedOps, s0.BoostedOps),
-		HotPromotions:       satSub(s1.HotPromotions, s0.HotPromotions),
-		HotDemotions:        satSub(s1.HotDemotions, s0.HotDemotions),
-		Dist:                cfg.Dist.Label(),
-		Theta:               cfg.Dist.ZipfTheta(),
-		Threads:             cfg.Conns,
-		OpsPerMs:            float64(totalOps) / float64(elapsed.Milliseconds()+1),
-		AbortRate:           delta.AbortRate(),
-		AllocsPerOp:         allocsPerOp(m1-m0, totalOps),
-		Ops:                 totalOps,
-		Commits:             delta.Commits,
-		Aborts:              delta.Aborts,
-		AbortsByCause:       delta.AbortsByCause,
-		Elapsed:             elapsed,
+		Engine:     s1.Engine,
+		Scenario:   sc.name,
+		Structure:  fmt.Sprintf("store/%dshards", s1.Shards),
+		CM:         s1.CM,
+		Dist:       cfg.Dist.Label(),
+		Theta:      cfg.Dist.ZipfTheta(),
+		Threads:    cfg.Conns,
+		Violations: violations,
+		Server:     &s1,
 	}
-	r.setLatency(totalHist)
+	m.into(&r)
 	return r, nil
 }
 
-// reportLoop sleeps out the measured window, emitting one progress line
-// per ReportEvery tick. Each line is windowed: its ops/s, latency
+// sleepWindow sleeps out the measured window — or returns early when a
+// worker fails — emitting one progress line per cfg.ReportEvery tick
+// when that is set. Each line is windowed: its ops/s, latency
 // percentiles and abort rate are the deltas between that tick's stats
-// scrape and the previous one (histogram windows via Histogram.Sub), so
-// a line describes only its own interval — drift, warm caches, or a
-// building convoy show up as line-to-line movement, not as a diluted
-// running average. Scrape failures skip the line; the measurement
-// itself never depends on the reporter.
-func reportLoop(cl *server.Client, cfg LoadConfig, s0 *wire.StatsPayload, start time.Time) {
+// scrape and the previous one (StatsPayload.Sub), so a line describes
+// only its own interval — drift, warm caches, or a building convoy show
+// up as line-to-line movement, not as a diluted running average. Scrape
+// failures skip the line; the measurement itself never depends on the
+// reporter.
+func sleepWindow(cl *server.Client, cfg LoadConfig, s0 *wire.StatsPayload, start time.Time, failed <-chan struct{}) {
 	w := cfg.ReportTo
 	if w == nil {
 		w = io.Writer(os.Stderr)
 	}
+	var tick <-chan time.Time // nil (never ready) without ReportEvery
+	if cfg.ReportEvery > 0 {
+		ticker := time.NewTicker(cfg.ReportEvery)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	last := *s0
 	lastT := start
-	ticker := time.NewTicker(cfg.ReportEvery)
-	defer ticker.Stop()
 	timer := time.NewTimer(cfg.Duration)
 	defer timer.Stop()
 	for {
 		select {
 		case <-timer.C:
 			return
-		case now := <-ticker.C:
+		case <-failed:
+			return
+		case now := <-tick:
 			var cur wire.StatsPayload
 			if err := cl.Stats(&cur); err != nil {
 				fmt.Fprintf(w, "compose-load: progress scrape failed: %v\n", err)
@@ -389,53 +409,21 @@ func reportLoop(cl *server.Client, cfg LoadConfig, s0 *wire.StatsPayload, start 
 			if window <= 0 {
 				continue
 			}
+			d := cur
+			d.Sub(&last)
 			var ops uint64
-			var h, hPrev stats.Histogram
-			for i := range cur.Ops {
-				ops += satSub(cur.Ops[i].Count, last.Ops[i].Count)
-				h.Merge(&cur.Ops[i].Hist)
-				hPrev.Merge(&last.Ops[i].Hist)
+			var h stats.Histogram
+			for i := range d.Ops {
+				ops += d.Ops[i].Count
+				h.Merge(&d.Ops[i].Hist)
 			}
-			h.Sub(&hPrev)
-			d := statsDelta(&cur, &last)
 			fmt.Fprintf(w, "compose-load: t=%-6s ops/s=%-9.0f p50=%.1fµs p99=%.1fµs abort%%=%.2f\n",
 				now.Sub(start).Truncate(100*time.Millisecond),
 				float64(ops)/window.Seconds(),
-				usec(h.Quantile(0.50)), usec(h.Quantile(0.99)), d.AbortRate())
+				usec(h.Quantile(0.50)), usec(h.Quantile(0.99)), d.STM().AbortRate())
 			last, lastT = cur, now
 		}
 	}
-}
-
-// allocsPerOp guards the zero-op case.
-func allocsPerOp(mallocs, ops uint64) float64 {
-	if ops == 0 {
-		return 0
-	}
-	return float64(mallocs) / float64(ops)
-}
-
-// statsDelta subtracts two stats payloads' transaction counters,
-// saturating at zero: the server's scrape is atomic per payload, but a
-// defensive floor keeps a misbehaving peer from exploding the columns
-// into wrapped uint64s.
-func statsDelta(s1, s0 *wire.StatsPayload) stm.Stats {
-	d := stm.Stats{
-		Commits: satSub(s1.Commits, s0.Commits),
-		Aborts:  satSub(s1.Aborts, s0.Aborts),
-	}
-	for i := range d.AbortsByCause {
-		d.AbortsByCause[i] = satSub(s1.AbortsByCause[i], s0.AbortsByCause[i])
-	}
-	return d
-}
-
-// satSub is max(a-b, 0) on uint64.
-func satSub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
 }
 
 // fillStore populates every key (value key % MaxVal) in Span-sized MPut
@@ -474,8 +462,7 @@ type loadWorker struct {
 	thresholds [7]int
 	batchK     []int64
 	batchV     []int64
-	// reqs/resps are the pipelined burst buffers (len Pipeline; nil when
-	// the depth is 1).
+	// reqs/resps are the burst buffers, len Pipeline.
 	reqs  []wire.Request
 	resps []wire.Response
 }
@@ -493,6 +480,8 @@ func newLoadWorker(cfg LoadConfig, idx int) (*loadWorker, error) {
 		keys:   workload.NewSampler(cfg.Dist, cfg.Keys),
 		batchK: make([]int64, cfg.Span),
 		batchV: make([]int64, cfg.Span),
+		reqs:   make([]wire.Request, cfg.Pipeline),
+		resps:  make([]wire.Response, cfg.Pipeline),
 	}
 	w.thresholds[0] = m.GetPct
 	w.thresholds[1] = w.thresholds[0] + m.PutPct
@@ -501,10 +490,6 @@ func newLoadWorker(cfg LoadConfig, idx int) (*loadWorker, error) {
 	w.thresholds[4] = w.thresholds[3] + m.MPutPct
 	w.thresholds[5] = w.thresholds[4] + m.AddPct
 	w.thresholds[6] = w.thresholds[5] + m.MAddPct
-	if cfg.Pipeline > 1 {
-		w.reqs = make([]wire.Request, cfg.Pipeline)
-		w.resps = make([]wire.Response, cfg.Pipeline)
-	}
 	return w, nil
 }
 
@@ -541,46 +526,12 @@ func (w *loadWorker) batch(withVals bool) {
 	}
 }
 
-// step issues one round trip — a single request, or a pipelined burst of
-// Pipeline requests — and returns how many requests completed.
+// step draws Pipeline requests from the mix — the worker's one mix
+// dispatcher — and issues them as one burst, one round trip; it returns
+// how many requests completed. Client.Pipeline stops reading at the first
+// error response, so only a depth-1 burst is still in sync afterwards:
+// there retry exhaustion is tolerated, deeper bursts fail the worker.
 func (w *loadWorker) step() (int, error) {
-	if w.cfg.Pipeline > 1 {
-		return w.stepPipeline()
-	}
-	r := w.rng.IntN(100)
-	switch {
-	case r < w.thresholds[0]:
-		_, _, err := w.cl.Get(w.key())
-		return 1, err
-	case r < w.thresholds[1]:
-		_, err := w.cl.Put(w.key(), w.val())
-		return 1, err
-	case r < w.thresholds[2]:
-		_, _, err := w.cl.Remove(w.key())
-		return 1, err
-	case r < w.thresholds[3]:
-		w.batch(false)
-		_, _, err := w.cl.MGet(w.batchK)
-		return 1, ignoreExhausted(err)
-	case r < w.thresholds[4]:
-		w.batch(true)
-		return 1, ignoreExhausted(w.cl.MPut(w.batchK, w.batchV))
-	case r < w.thresholds[5]:
-		return 1, ignoreExhausted(w.cl.Add(w.key(), w.delta()))
-	case r < w.thresholds[6]:
-		w.batchDeltas()
-		return 1, ignoreExhausted(w.cl.MAdd(w.batchK, w.batchV))
-	default:
-		from, to := w.key(), w.key()
-		_, err := w.cl.CompareAndMove(from, to, w.val())
-		return 1, ignoreExhausted(err)
-	}
-}
-
-// stepPipeline draws Pipeline requests from the mix and issues them as
-// one burst. Responses are checked for typed errors (retry exhaustion
-// tolerated, like the one-at-a-time path).
-func (w *loadWorker) stepPipeline() (int, error) {
 	for i := range w.reqs {
 		q := &w.reqs[i]
 		q.Keys, q.Vals = q.Keys[:0], q.Vals[:0]
@@ -612,13 +563,8 @@ func (w *loadWorker) stepPipeline() (int, error) {
 			q.Op, q.Key, q.To, q.Val = wire.OpCompareAndMove, w.key(), w.key(), w.val()
 		}
 	}
-	if err := w.cl.Pipeline(w.reqs, w.resps); err != nil {
+	if err := w.cl.Pipeline(w.reqs, w.resps); err != nil && (len(w.reqs) > 1 || ignoreExhausted(err) != nil) {
 		return 0, err
-	}
-	for i := range w.resps {
-		if w.resps[i].Status == wire.StatusErr && w.resps[i].Err != wire.ErrRetryExhausted {
-			return 0, fmt.Errorf("pipelined %s: %s: %s", w.reqs[i].Op, w.resps[i].Err, w.resps[i].Msg)
-		}
 	}
 	return len(w.reqs), nil
 }

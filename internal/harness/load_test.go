@@ -77,8 +77,8 @@ func TestRunLoadAddMix(t *testing.T) {
 	if r.Ops == 0 {
 		t.Fatalf("no throughput: %+v", r)
 	}
-	if r.Adds == 0 || r.BoostedOps == 0 {
-		t.Fatalf("hot-key columns not attributed: adds=%d boosted=%d", r.Adds, r.BoostedOps)
+	if r.Server.Adds == 0 || r.Server.BoostedOps == 0 {
+		t.Fatalf("hot-key columns not attributed: adds=%d boosted=%d", r.Server.Adds, r.Server.BoostedOps)
 	}
 	csv := CSV([]Result{r})
 	if !strings.Contains(CSVHeader, "adds,boosted_ops,hot_promotions,hot_demotions") {
@@ -242,5 +242,81 @@ func TestRunLoadRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := RunLoad(LoadConfig{Addr: "127.0.0.1:1", Duration: time.Millisecond}); err == nil {
 		t.Fatal("dead address accepted")
+	}
+}
+
+// TestRunLoadWorkerFailureEndsWindow pins that a failed worker ends the
+// measured window: the server goes away 50 ms into a 30 s window, and the
+// error must come back at once, not after the window has been slept out.
+func TestRunLoadWorkerFailureEndsWindow(t *testing.T) {
+	eng, _ := EngineByName("oestm")
+	srv, err := server.New(server.Config{Addr: "127.0.0.1:0", Engine: eng.Name, NewTM: eng.New, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	down := make(chan error, 1)
+	time.AfterFunc(50*time.Millisecond, func() {
+		// An already-expired drain deadline: connections are cut, not waited for.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		down <- srv.Shutdown(ctx)
+	})
+	begin := time.Now()
+	_, err = RunLoad(LoadConfig{
+		Addr:     srv.Addr().String(),
+		Conns:    2,
+		Duration: 30 * time.Second,
+		Keys:     64,
+	})
+	took := time.Since(begin)
+	<-down
+	if err == nil {
+		t.Fatal("load against a dead server reported no error")
+	}
+	if took > 2*time.Second {
+		t.Fatalf("error %q surfaced after %v; a failed worker must end the window", err, took)
+	}
+}
+
+// parentCSVHeader is the CSV schema as it stood before the columns were
+// generated from wire.StatsTable. CI greps on ",wal,wal_appends,...,
+// hot_demotions$" and positional consumers depend on this exact order.
+const parentCSVHeader = "scenario,structure,bulk_pct,engine,cm,dist,theta,threads,ops_per_ms,abort_rate,allocs_per_op," +
+	"lat_p50_us,lat_p95_us,lat_p99_us,lat_max_us,violations,ops,commits,aborts," +
+	"aborts_read_validation,aborts_lock_busy,aborts_snapshot_extension,aborts_commit_validation," +
+	"aborts_elastic_window,aborts_doomed,aborts_explicit,aborts_unknown," +
+	"wal,wal_appends,wal_syncs,wal_bytes,exec,spec_execs,spec_reexecs,spec_validation_fails," +
+	"adds,boosted_ops,hot_promotions,hot_demotions"
+
+// TestCSVSchemaPinned pins the CSV byte for byte against literals: the
+// header, one networked row with every server column distinct, and one
+// in-process row (no server: "-" labels, zero counters).
+func TestCSVSchemaPinned(t *testing.T) {
+	if CSVHeader != parentCSVHeader {
+		t.Fatalf("CSVHeader drifted:\n got %s\nwant %s", CSVHeader, parentCSVHeader)
+	}
+	r := Result{
+		Engine: "oestm", Scenario: "server", Structure: "store/16shards", CM: "adaptive",
+		Dist: "zipfian:0.99", Theta: 0.99, Threads: 4, OpsPerMs: 123.456, AbortRate: 1.2345, AllocsPerOp: 0.0123,
+		LatP50: 1500 * time.Nanosecond, LatP95: 2500 * time.Nanosecond, LatP99: 3500 * time.Nanosecond, LatMax: 45 * time.Microsecond,
+		Violations: 1, Ops: 1000, Commits: 900, Aborts: 36,
+		Server: &wire.StatsPayload{
+			WALEnabled: true, WALAppends: 11, WALSyncs: 12, WALBytes: 13,
+			Exec: "batch", SpecBatches: 20, SpecExecs: 21, SpecReexecs: 22, SpecValidationFails: 23,
+			Adds: 31, BoostedOps: 32, HotPromotions: 33, HotDemotions: 34,
+		},
+	}
+	for i := range r.AbortsByCause {
+		r.AbortsByCause[i] = uint64(i + 1)
+	}
+	seq := Result{Engine: "sequential", Scenario: "mix", Structure: "linkedlist", BulkPct: 5, CM: "-", Dist: "uniform", Threads: 1, OpsPerMs: 9.5, Ops: 77}
+	want := parentCSVHeader + "\n" +
+		"server,store/16shards,0,oestm,adaptive,zipfian:0.99,0.99,4,123.46,1.234,0.012,1.5,2.5,3.5,45.0,1,1000,900,36,2,3,4,5,6,7,8,1,on,11,12,13,batch,21,22,23,31,32,33,34\n" +
+		"mix,linkedlist,5,sequential,-,uniform,0.00,1,9.50,0.000,0.000,0.0,0.0,0.0,0.0,0,77,0,0,0,0,0,0,0,0,0,0,-,0,0,0,-,0,0,0,0,0,0,0\n"
+	if got := CSV([]Result{r, seq}); got != want {
+		t.Fatalf("CSV drifted:\n got %s\nwant %s", got, want)
 	}
 }

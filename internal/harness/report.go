@@ -3,11 +3,13 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"oestm/internal/stats"
 	"oestm/internal/stm"
+	"oestm/internal/wire"
 	"oestm/internal/workload"
 )
 
@@ -105,6 +107,10 @@ func average(rs []Result) Result {
 		return rs[0]
 	}
 	out := rs[0]
+	if out.Server != nil {
+		sum := *out.Server // own copy: rs[0] keeps its window
+		out.Server = &sum
+	}
 	tp := make([]float64, len(rs))
 	ab := make([]float64, len(rs))
 	al := make([]float64, len(rs))
@@ -127,16 +133,9 @@ func average(rs []Result) Result {
 			// means the invariant broke, and averaging could round a
 			// single violation out of sight.
 			out.Violations += r.Violations
-			out.WALAppends += r.WALAppends
-			out.WALSyncs += r.WALSyncs
-			out.WALBytes += r.WALBytes
-			out.SpecExecs += r.SpecExecs
-			out.SpecReexecs += r.SpecReexecs
-			out.SpecValidationFails += r.SpecValidationFails
-			out.Adds += r.Adds
-			out.BoostedOps += r.BoostedOps
-			out.HotPromotions += r.HotPromotions
-			out.HotDemotions += r.HotDemotions
+			if out.Server != nil && r.Server != nil {
+				out.Server.Add(r.Server)
+			}
 		}
 	}
 	out.OpsPerMs = stats.Mean(tp)
@@ -210,6 +209,31 @@ func sweepsDists(results []Result) bool {
 	return len(dists) > 1
 }
 
+// pivot arranges a result set for the tables: the distinct column labels
+// in first-seen order, the sorted thread counts (the sequential
+// baseline's single thread is not a row of its own), and the results by
+// label and thread count.
+func pivot(results []Result) (labels []string, threads []int, point map[string]map[int]Result) {
+	multiCM := sweepsCMs(results)
+	multiDist := sweepsDists(results)
+	point = map[string]map[int]Result{}
+	threadSet := map[int]bool{}
+	for _, r := range results {
+		l := columnLabel(r, multiCM, multiDist)
+		if point[l] == nil {
+			point[l] = map[int]Result{}
+			labels = append(labels, l)
+		}
+		point[l][r.Threads] = r
+		if r.Engine != "sequential" && !threadSet[r.Threads] {
+			threadSet[r.Threads] = true
+			threads = append(threads, r.Threads)
+		}
+	}
+	sort.Ints(threads)
+	return labels, threads, point
+}
+
 // usec renders a duration as microseconds for tables and CSV.
 func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
@@ -219,37 +243,7 @@ func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecon
 // managers, per distribution when sweeping those) — the text rendition of
 // the paper's plots — followed by the per-cause abort breakdown.
 func Format(results []Result, structure string, bulkPct int) string {
-	multiCM := sweepsCMs(results)
-	multiDist := sweepsDists(results)
-	var labels []string
-	seen := map[string]bool{}
-	for _, r := range results {
-		l := columnLabel(r, multiCM, multiDist)
-		if !seen[l] {
-			seen[l] = true
-			labels = append(labels, l)
-		}
-	}
-	threadSet := map[int]bool{}
-	for _, r := range results {
-		if r.Engine != "sequential" {
-			threadSet[r.Threads] = true
-		}
-	}
-	var threads []int
-	for n := range threadSet {
-		threads = append(threads, n)
-	}
-	sort.Ints(threads)
-
-	point := map[string]map[int]Result{}
-	for _, r := range results {
-		l := columnLabel(r, multiCM, multiDist)
-		if point[l] == nil {
-			point[l] = map[int]Result{}
-		}
-		point[l][r.Threads] = r
-	}
+	labels, threads, point := pivot(results)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %d%% addAll/removeAll (throughput ops/ms | abort %% | allocs/op | p50/p99 µs)\n",
@@ -356,26 +350,23 @@ func FormatHotKeys(results []Result) string {
 	multiCM := sweepsCMs(results)
 	multiDist := sweepsDists(results)
 	var labels []string
-	totals := map[string]*[4]uint64{}
+	totals := map[string]*wire.StatsPayload{}
 	for _, r := range results {
-		if r.Engine == "sequential" {
+		if r.Server == nil {
 			continue
 		}
 		l := columnLabel(r, multiCM, multiDist)
 		t, ok := totals[l]
 		if !ok {
-			t = new([4]uint64)
+			t = new(wire.StatsPayload)
 			totals[l] = t
 			labels = append(labels, l)
 		}
-		t[0] += r.Adds
-		t[1] += r.BoostedOps
-		t[2] += r.HotPromotions
-		t[3] += r.HotDemotions
+		t.Add(r.Server)
 	}
 	any := false
 	for _, t := range totals {
-		if t[0] > 0 {
+		if t.Adds > 0 {
 			any = true
 		}
 	}
@@ -387,7 +378,7 @@ func FormatHotKeys(results []Result) string {
 	fmt.Fprintf(&b, "%-24s %18s %18s %18s %18s\n", "", "adds", "boosted_ops", "promotions", "demotions")
 	for _, l := range labels {
 		t := totals[l]
-		fmt.Fprintf(&b, "%-24s %18d %18d %18d %18d\n", l, t[0], t[1], t[2], t[3])
+		fmt.Fprintf(&b, "%-24s %18d %18d %18d %18d\n", l, t.Adds, t.BoostedOps, t.HotPromotions, t.HotDemotions)
 	}
 	return b.String()
 }
@@ -429,16 +420,37 @@ func FormatHotKeys(results []Result) string {
 // locks, keys the adaptive tracker promoted, promoted keys folded back
 // by absolute operations; all zero for in-process runs and non-add
 // mixes). The wal, exec and hot-key columns sit at the end, newest
-// last, so earlier consumers' positional indexes keep working.
+// last, so earlier consumers' positional indexes keep working: they are
+// not listed here but generated from wire.StatsTable (the rows marked
+// CSV, in table order), read out of Result.Server by serverCell.
 var CSVHeader = func() string {
 	cols := "scenario,structure,bulk_pct,engine,cm,dist,theta,threads,ops_per_ms,abort_rate,allocs_per_op," +
 		"lat_p50_us,lat_p95_us,lat_p99_us,lat_max_us,violations,ops,commits,aborts"
 	for _, c := range displayCauses() {
 		cols += ",aborts_" + c.Slug()
 	}
-	return cols + ",wal,wal_appends,wal_syncs,wal_bytes,exec,spec_execs,spec_reexecs,spec_validation_fails" +
-		",adds,boosted_ops,hot_promotions,hot_demotions"
+	for i := range wire.StatsTable {
+		if d := &wire.StatsTable[i]; d.CSV {
+			cols += "," + d.Name
+		}
+	}
+	return cols
 }()
+
+// serverCell renders one of the CSV's trailing cells: the row's label or
+// counter out of the result's server delta, "-" or 0 for an in-process
+// result, which has no server behind it.
+func serverCell(d *wire.Stat[wire.StatsPayload], srv *wire.StatsPayload) string {
+	switch {
+	case srv == nil && d.Label != nil:
+		return "-"
+	case srv == nil:
+		return "0"
+	case d.Label != nil:
+		return d.Label(srv)
+	}
+	return strconv.FormatUint(*d.Field(srv), 10)
+}
 
 // CSV renders results as comma-separated rows with a header, for
 // plotting. The schema is CSVHeader.
@@ -455,17 +467,11 @@ func CSV(results []Result) string {
 		for _, c := range displayCauses() {
 			fmt.Fprintf(&b, ",%d", r.AbortsByCause[c])
 		}
-		walLabel := r.WAL
-		if walLabel == "" {
-			walLabel = "-"
+		for i := range wire.StatsTable {
+			if d := &wire.StatsTable[i]; d.CSV {
+				b.WriteString("," + serverCell(d, r.Server))
+			}
 		}
-		fmt.Fprintf(&b, ",%s,%d,%d,%d", walLabel, r.WALAppends, r.WALSyncs, r.WALBytes)
-		execLabel := r.Exec
-		if execLabel == "" {
-			execLabel = "-"
-		}
-		fmt.Fprintf(&b, ",%s,%d,%d,%d", execLabel, r.SpecExecs, r.SpecReexecs, r.SpecValidationFails)
-		fmt.Fprintf(&b, ",%d,%d,%d,%d", r.Adds, r.BoostedOps, r.HotPromotions, r.HotDemotions)
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -62,24 +61,16 @@ func RunScenario(eng Engine, cfg ScenarioRunConfig) Result {
 		cmName = cm.DefaultName
 	}
 	r := Result{
-		Engine:        eng.Name,
-		Scenario:      scn.Name(),
-		Structure:     scn.Structures(),
-		CM:            cmName,
-		Dist:          cfg.Workload.Dist.Label(),
-		Theta:         cfg.Workload.Dist.ZipfTheta(),
-		Threads:       cfg.Threads,
-		OpsPerMs:      m.OpsPerMs(),
-		AbortRate:     m.Totals.AbortRate(),
-		AllocsPerOp:   m.AllocsPerOp(),
-		Violations:    scn.Violations() - warmupViolations,
-		Ops:           m.Ops,
-		Commits:       m.Totals.Commits,
-		Aborts:        m.Totals.Aborts,
-		AbortsByCause: m.Totals.AbortsByCause,
-		Elapsed:       m.Elapsed,
+		Engine:     eng.Name,
+		Scenario:   scn.Name(),
+		Structure:  scn.Structures(),
+		CM:         cmName,
+		Dist:       cfg.Workload.Dist.Label(),
+		Theta:      cfg.Workload.Dist.ZipfTheta(),
+		Threads:    cfg.Threads,
+		Violations: scn.Violations() - warmupViolations,
 	}
-	r.setLatency(m.Hist)
+	m.into(&r)
 	return r
 }
 
@@ -144,36 +135,10 @@ func ScenarioSweep(cfg ScenarioSweepConfig) []Result {
 // when sweeping contention managers, per distribution when sweeping
 // those), followed by the per-cause abort breakdown.
 func FormatScenario(results []Result, scenario string) string {
-	multiCM := sweepsCMs(results)
-	multiDist := sweepsDists(results)
-	var engines []string
-	seen := map[string]bool{}
+	engines, threads, point := pivot(results)
 	structures := ""
-	for _, r := range results {
-		l := columnLabel(r, multiCM, multiDist)
-		if !seen[l] {
-			seen[l] = true
-			engines = append(engines, l)
-		}
-		structures = r.Structure
-	}
-	threadSet := map[int]bool{}
-	for _, r := range results {
-		threadSet[r.Threads] = true
-	}
-	var threads []int
-	for n := range threadSet {
-		threads = append(threads, n)
-	}
-	sort.Ints(threads)
-
-	point := map[string]map[int]Result{}
-	for _, r := range results {
-		l := columnLabel(r, multiCM, multiDist)
-		if point[l] == nil {
-			point[l] = map[int]Result{}
-		}
-		point[l][r.Threads] = r
+	if len(results) > 0 {
+		structures = results[len(results)-1].Structure
 	}
 
 	var b strings.Builder

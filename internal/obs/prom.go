@@ -14,8 +14,11 @@ import (
 
 // Prometheus text-format exposition of the stats payload. Series names
 // and label sets are a stable API (the golden test pins them); every
-// series maps to one source counter in the payload — see the metric map
-// in ARCHITECTURE.md's observability section.
+// series maps to one source counter in the payload: the scalar and
+// per-shard families are generated from wire.StatsTable and
+// wire.ShardTable (name, HELP, TYPE, order), so a counter added there
+// appears here with no edit — see the metric map in ARCHITECTURE.md's
+// observability section.
 //
 // Latency histograms re-bucket the log-bucketed stats.Histogram onto
 // power-of-two le boundaries, 2^8ns (256ns) through 2^30ns (~1.07s).
@@ -96,64 +99,57 @@ func renderPayload(b *bytes.Buffer, p *wire.StatsPayload) {
 		opHist(b, wire.Op(i).String(), &p.Ops[i].Hist)
 	}
 
-	head(b, "compose_commits_total", "counter", "Committed transactions.")
-	fmt.Fprintf(b, "compose_commits_total %d\n", p.Commits)
-	head(b, "compose_aborts_total", "counter", "Aborted transaction attempts, by conflict cause.")
+	// The scalar families, in wire.StatsTable order. Identity labels ride
+	// on compose_server_info above, not as families of their own.
 	engine := escapeLabel(p.Engine)
-	for i := range p.AbortsByCause {
-		fmt.Fprintf(b, "compose_aborts_total{cause=%q,engine=%q} %d\n",
-			stm.ConflictCause(i).Slug(), engine, p.AbortsByCause[i])
-	}
-
-	head(b, "compose_wal_enabled", "gauge", "Whether a write-ahead log is attached (1) or not (0).")
-	enabled := 0
-	if p.WALEnabled {
-		enabled = 1
-	}
-	fmt.Fprintf(b, "compose_wal_enabled %d\n", enabled)
-	head(b, "compose_wal_appends_total", "counter", "WAL records appended.")
-	fmt.Fprintf(b, "compose_wal_appends_total %d\n", p.WALAppends)
-	head(b, "compose_wal_syncs_total", "counter", "WAL flush batches fully written.")
-	fmt.Fprintf(b, "compose_wal_syncs_total %d\n", p.WALSyncs)
-	head(b, "compose_wal_bytes_total", "counter", "Bytes the OS accepted into WAL files.")
-	fmt.Fprintf(b, "compose_wal_bytes_total %d\n", p.WALBytes)
-
-	head(b, "compose_spec_batches_total", "counter", "Speculative batches committed.")
-	fmt.Fprintf(b, "compose_spec_batches_total %d\n", p.SpecBatches)
-	head(b, "compose_spec_execs_total", "counter", "Speculative execution attempts.")
-	fmt.Fprintf(b, "compose_spec_execs_total %d\n", p.SpecExecs)
-	head(b, "compose_spec_reexecs_total", "counter", "Speculative attempts beyond a transaction's first.")
-	fmt.Fprintf(b, "compose_spec_reexecs_total %d\n", p.SpecReexecs)
-	head(b, "compose_spec_validation_fails_total", "counter", "Speculative attempts whose read set failed validation.")
-	fmt.Fprintf(b, "compose_spec_validation_fails_total %d\n", p.SpecValidationFails)
-
-	head(b, "compose_adds_total", "counter", "Integer deltas applied (Add ops plus MAdd entries), any path.")
-	fmt.Fprintf(b, "compose_adds_total %d\n", p.Adds)
-	head(b, "compose_boosted_ops_total", "counter", "Deltas that ran on the boosted commutative path.")
-	fmt.Fprintf(b, "compose_boosted_ops_total %d\n", p.BoostedOps)
-	head(b, "compose_hot_promotions_total", "counter", "Keys promoted to the boosted path.")
-	fmt.Fprintf(b, "compose_hot_promotions_total %d\n", p.HotPromotions)
-	head(b, "compose_hot_demotions_total", "counter", "Keys demoted (folded back) by absolute operations.")
-	fmt.Fprintf(b, "compose_hot_demotions_total %d\n", p.HotDemotions)
-
-	if len(p.ShardStats) > 0 {
-		head(b, "compose_shard_ops_total", "counter", "Key-operations routed to the shard.")
-		for i := range p.ShardStats {
-			fmt.Fprintf(b, "compose_shard_ops_total{shard=\"%d\"} %d\n", i, p.ShardStats[i].Ops)
+	for i := range wire.StatsTable {
+		d := &wire.StatsTable[i]
+		if d.Kind == wire.StatLabel {
+			continue
 		}
-		head(b, "compose_shard_aborts_total", "counter", "Aborted attempts attributed to the shard.")
-		for i := range p.ShardStats {
-			fmt.Fprintf(b, "compose_shard_aborts_total{shard=\"%d\"} %d\n", i, p.ShardStats[i].Aborts)
-		}
-		head(b, "compose_shard_hot_keys", "gauge", "Counters currently promoted to the boosted path, by shard.")
-		for i := range p.ShardStats {
-			fmt.Fprintf(b, "compose_shard_hot_keys{shard=\"%d\"} %d\n", i, p.ShardStats[i].HotKeys)
-		}
-		head(b, "compose_shard_wal_bytes_total", "counter", "Bytes the OS accepted into the shard's WAL file.")
-		for i := range p.ShardStats {
-			fmt.Fprintf(b, "compose_shard_wal_bytes_total{shard=\"%d\"} %d\n", i, p.ShardStats[i].WALBytes)
+		name, typ := family(d.Name, d.Kind)
+		head(b, name, typ, d.Help)
+		switch {
+		case d.ByCause:
+			for c := range p.AbortsByCause {
+				fmt.Fprintf(b, "%s{cause=%q,engine=%q} %d\n", name, stm.ConflictCause(c).Slug(), engine, p.AbortsByCause[c])
+			}
+		case d.Kind == wire.StatFlag:
+			on := 0
+			if d.Label(p) == wire.FlagOn {
+				on = 1
+			}
+			fmt.Fprintf(b, "%s %d\n", name, on)
+		default:
+			fmt.Fprintf(b, "%s %d\n", name, *d.Field(p))
 		}
 	}
+
+	// The per-shard families, in wire.ShardTable order.
+	if len(p.ShardStats) == 0 {
+		return
+	}
+	for i := range wire.ShardTable {
+		d := &wire.ShardTable[i]
+		name, typ := family(d.Name, d.Kind)
+		head(b, name, typ, d.Help)
+		for shard := range p.ShardStats {
+			fmt.Fprintf(b, "%s{shard=\"%d\"} %d\n", name, shard, *d.Field(&p.ShardStats[shard]))
+		}
+	}
+}
+
+// family derives a table row's metric family name and TYPE from its
+// name and kind: compose_<name>_total counters, compose_<name> gauges,
+// and compose_<name>_enabled 0/1 gauges for flags.
+func family(name string, kind wire.StatKind) (string, string) {
+	switch kind {
+	case wire.StatCounter:
+		return "compose_" + name + "_total", "counter"
+	case wire.StatFlag:
+		return "compose_" + name + "_enabled", "gauge"
+	}
+	return "compose_" + name, "gauge"
 }
 
 // opHist writes one opcode's bucket/sum/count triple. Each source

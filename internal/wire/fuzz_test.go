@@ -82,6 +82,8 @@ func FuzzDecodeStats(f *testing.F) {
 	f.Add(AppendStats(nil, &p))
 	f.Add([]byte{statsVersion})
 	f.Add([]byte{})
+	full := fullStatsPayload()
+	f.Add(AppendStats(nil, &full))
 	var got StatsPayload
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if err := got.Decode(body); err != nil {

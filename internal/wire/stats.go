@@ -15,8 +15,13 @@ import (
 // speculation counters); 4 = commutative hot-key fields (adds applied,
 // boosted executions, hot-key promotions/demotions); 5 = an exact sum
 // inside every histogram and the trailing per-shard telemetry block
-// (ShardStats).
-const statsVersion = 5
+// (ShardStats); 6 = the regular, table-driven layout (no field added):
+// identity header (engine, cm, exec, shards, conns, wal flag), per-opcode
+// block, then three count-prefixed blocks — abort causes, StatsTable's
+// scalars in table order, ShardTable rows per shard, last — so a new
+// counter is one more scalar, and a peer built without it fails the
+// count check loudly.
+const statsVersion = 6
 
 // maxShardStats bounds the per-shard block a decoder will allocate for —
 // far above any real shard count, low enough that a hostile length
@@ -39,7 +44,11 @@ type OpTelemetry struct {
 // counts and latency histograms, and the transaction counters — commits,
 // aborts, and the per-cause abort breakdown — summed over every
 // connection the server has served (live ones included). Histograms merge
-// associatively, so scraping twice and diffing is sound.
+// associatively, so scraping twice and diffing (Sub) is sound.
+//
+// Every uint64 field here needs exactly one row in StatsTable — the row
+// is what puts it on the wire, into window deltas, on /metrics and in
+// the CSV (TestStatsTablesCoverEveryField fails for a field without one).
 type StatsPayload struct {
 	Engine        string
 	CM            string
@@ -83,7 +92,7 @@ type StatsPayload struct {
 	HotDemotions  uint64
 
 	// ShardStats is the per-shard telemetry block (one entry per store
-	// shard, indexed by shard; the trailing field of statsVersion 5). It
+	// shard, indexed by shard; the trailing block of the encoding). It
 	// splits the merged counters by shard so an operator can see skew —
 	// a hot shard's ops/aborts dominating — that the aggregates hide.
 	ShardStats []ShardTelemetry
@@ -115,47 +124,209 @@ type ShardTelemetry struct {
 	WALBytes uint64
 }
 
-// AppendStats appends the encoded payload to dst.
+// StatKind says how one telemetry scalar behaves over time, which is
+// what every consumer of the tables below needs to know about it.
+type StatKind uint8
+
+const (
+	// StatCounter is monotone: diffed across a window, summed across runs,
+	// a Prometheus counter (compose_<name>_total).
+	StatCounter StatKind = iota
+	// StatGauge is a point-in-time value: a window keeps the later
+	// scrape's reading; a Prometheus gauge (compose_<name>).
+	StatGauge
+	// StatFlag is an on/off identity flag read through Label: a CSV cell,
+	// and a 0/1 Prometheus gauge (compose_<name>_enabled).
+	StatFlag
+	// StatLabel is an identity string read through Label: a CSV cell only
+	// (/metrics carries identity on compose_server_info).
+	StatLabel
+)
+
+// FlagOn and FlagOff are the two values a StatFlag row's Label returns.
+const (
+	FlagOn  = "on"
+	FlagOff = "off"
+)
+
+// onOff renders a flag as FlagOn or FlagOff.
+func onOff(b bool) string {
+	if b {
+		return FlagOn
+	}
+	return FlagOff
+}
+
+// Stat describes one scalar of T (StatsPayload or ShardTelemetry). The
+// two tables of these rows are the only place the counter list is
+// written down: the wire codec, the Sub/Add window arithmetic, the
+// /metrics exposition and the harness CSV all walk them, in order.
+type Stat[T any] struct {
+	// Name is the CSV column and the Prometheus stem (see StatKind).
+	Name string
+	// Help is the Prometheus HELP text.
+	Help string
+	Kind StatKind
+	// CSV reports whether the harness CSV carries the row as one of its
+	// trailing server columns (commits/aborts have their own, earlier
+	// columns, shared with in-process results).
+	CSV bool
+	// ByCause marks the row whose total AbortsByCause breaks down;
+	// /metrics exposes the breakdown in place of the total.
+	ByCause bool
+	// Field addresses a counter's or gauge's storage; nil otherwise.
+	Field func(*T) *uint64
+	// Label reads a flag's or label's value; nil otherwise.
+	Label func(*T) string
+}
+
+// StatsTable lists StatsPayload's scalars. Order is the wire order of
+// the scalar block, the /metrics family order and the CSV column order;
+// append new rows where their CSV column may go (in practice: last).
+var StatsTable = []Stat[StatsPayload]{
+	{Name: "commits", Help: "Committed transactions.", Field: func(p *StatsPayload) *uint64 { return &p.Commits }},
+	{Name: "aborts", Help: "Aborted transaction attempts, by conflict cause.", ByCause: true, Field: func(p *StatsPayload) *uint64 { return &p.Aborts }},
+	{Name: "wal", Help: "Whether a write-ahead log is attached (1) or not (0).", Kind: StatFlag, CSV: true, Label: func(p *StatsPayload) string { return onOff(p.WALEnabled) }},
+	{Name: "wal_appends", Help: "WAL records appended.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.WALAppends }},
+	{Name: "wal_syncs", Help: "WAL flush batches fully written.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.WALSyncs }},
+	{Name: "wal_bytes", Help: "Bytes the OS accepted into WAL files.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.WALBytes }},
+	{Name: "exec", Kind: StatLabel, CSV: true, Label: func(p *StatsPayload) string { return p.Exec }},
+	{Name: "spec_batches", Help: "Speculative batches committed.", Field: func(p *StatsPayload) *uint64 { return &p.SpecBatches }},
+	{Name: "spec_execs", Help: "Speculative execution attempts.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.SpecExecs }},
+	{Name: "spec_reexecs", Help: "Speculative attempts beyond a transaction's first.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.SpecReexecs }},
+	{Name: "spec_validation_fails", Help: "Speculative attempts whose read set failed validation.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.SpecValidationFails }},
+	{Name: "adds", Help: "Integer deltas applied (Add ops plus MAdd entries), any path.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.Adds }},
+	{Name: "boosted_ops", Help: "Deltas that ran on the boosted commutative path.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.BoostedOps }},
+	{Name: "hot_promotions", Help: "Keys promoted to the boosted path.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.HotPromotions }},
+	{Name: "hot_demotions", Help: "Keys demoted (folded back) by absolute operations.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.HotDemotions }},
+}
+
+// ShardTable lists ShardTelemetry's scalars: the wire order of one
+// per-shard row and the /metrics family order of the per-shard series.
+var ShardTable = []Stat[ShardTelemetry]{
+	{Name: "shard_ops", Help: "Key-operations routed to the shard.", Field: func(s *ShardTelemetry) *uint64 { return &s.Ops }},
+	{Name: "shard_aborts", Help: "Aborted attempts attributed to the shard.", Field: func(s *ShardTelemetry) *uint64 { return &s.Aborts }},
+	{Name: "shard_hot_keys", Help: "Counters currently promoted to the boosted path, by shard.", Kind: StatGauge, Field: func(s *ShardTelemetry) *uint64 { return &s.HotKeys }},
+	{Name: "shard_wal_bytes", Help: "Bytes the OS accepted into the shard's WAL file.", Field: func(s *ShardTelemetry) *uint64 { return &s.WALBytes }},
+}
+
+// numFields counts a table's wire-carried rows (those with storage).
+func numFields[T any](table []Stat[T]) (n uint64) {
+	for i := range table {
+		if table[i].Field != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// appendFields appends v's scalars in table order.
+func appendFields[T any](dst []byte, table []Stat[T], v *T) []byte {
+	for i := range table {
+		if f := table[i].Field; f != nil {
+			dst = binary.AppendUvarint(dst, *f(v))
+		}
+	}
+	return dst
+}
+
+// readFields parses v's scalars in table order.
+func readFields[T any](b []byte, table []Stat[T], v *T) ([]byte, error) {
+	var err error
+	for i := range table {
+		if f := table[i].Field; f != nil {
+			if *f(v), b, err = readUvarint(b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b, nil
+}
+
+// foldFields folds q's counters into v's through f, in table order;
+// gauges keep v's reading.
+func foldFields[T any](table []Stat[T], v, q *T, f func(a, b uint64) uint64) {
+	for i := range table {
+		if d := &table[i]; d.Kind == StatCounter {
+			x := d.Field(v)
+			*x = f(*x, *d.Field(q))
+		}
+	}
+}
+
+// Sub turns p into the window since the earlier scrape prev: every
+// counter, per-opcode count and latency histogram becomes the delta
+// (saturating at zero, so a misbehaving peer clamps a column instead of
+// wrapping it), while identity and gauges keep p's — the later —
+// reading. p.ShardStats is reallocated, so a by-value copy of a payload
+// can be diffed without disturbing the original's rows.
+func (p *StatsPayload) Sub(prev *StatsPayload) {
+	p.fold(prev, (*stats.Histogram).Sub, func(a, b uint64) uint64 {
+		if a < b {
+			return 0
+		}
+		return a - b
+	})
+}
+
+// Add accumulates q's counters, per-opcode counts and histograms into p
+// (summing the windows of repeated runs); identity and gauges stay p's.
+// Like Sub it reallocates p.ShardStats.
+func (p *StatsPayload) Add(q *StatsPayload) {
+	p.fold(q, (*stats.Histogram).Merge, func(a, b uint64) uint64 { return a + b })
+}
+
+// fold is the shared walk of Sub and Add.
+func (p *StatsPayload) fold(q *StatsPayload, hist func(h, o *stats.Histogram), f func(a, b uint64) uint64) {
+	for i := range p.Ops {
+		p.Ops[i].Count = f(p.Ops[i].Count, q.Ops[i].Count)
+		hist(&p.Ops[i].Hist, &q.Ops[i].Hist)
+	}
+	for i := range p.AbortsByCause {
+		p.AbortsByCause[i] = f(p.AbortsByCause[i], q.AbortsByCause[i])
+	}
+	foldFields(StatsTable, p, q, f)
+	rows := append([]ShardTelemetry(nil), p.ShardStats...)
+	for i := 0; i < len(rows) && i < len(q.ShardStats); i++ {
+		foldFields(ShardTable, &rows[i], &q.ShardStats[i], f)
+	}
+	p.ShardStats = rows
+}
+
+// STM returns the payload's transaction counters in stm.Stats form (the
+// inverse of AddSTM), for the abort-rate arithmetic that lives there.
+func (p *StatsPayload) STM() stm.Stats {
+	return stm.Stats{Commits: p.Commits, Aborts: p.Aborts, AbortsByCause: p.AbortsByCause}
+}
+
+// AppendStats appends the encoded payload to dst: version byte, identity
+// header, per-opcode block, then three count-prefixed blocks — abort
+// causes, StatsTable's scalars, and one ShardTable row per shard, last.
 func AppendStats(dst []byte, p *StatsPayload) []byte {
 	dst = append(dst, statsVersion)
 	dst = appendString(dst, p.Engine)
 	dst = appendString(dst, p.CM)
+	dst = appendString(dst, p.Exec)
 	dst = binary.AppendUvarint(dst, uint64(p.Shards))
 	dst = binary.AppendUvarint(dst, uint64(p.Conns))
-	for i := range p.Ops {
-		dst = binary.AppendUvarint(dst, p.Ops[i].Count)
-		dst = p.Ops[i].Hist.AppendBinary(dst)
-	}
-	dst = binary.AppendUvarint(dst, p.Commits)
-	dst = binary.AppendUvarint(dst, p.Aborts)
-	dst = binary.AppendUvarint(dst, uint64(stm.NumCauses))
-	for _, n := range p.AbortsByCause {
-		dst = binary.AppendUvarint(dst, n)
-	}
 	var walFlag byte
 	if p.WALEnabled {
 		walFlag = 1
 	}
 	dst = append(dst, walFlag)
-	dst = binary.AppendUvarint(dst, p.WALAppends)
-	dst = binary.AppendUvarint(dst, p.WALSyncs)
-	dst = binary.AppendUvarint(dst, p.WALBytes)
-	dst = appendString(dst, p.Exec)
-	dst = binary.AppendUvarint(dst, p.SpecBatches)
-	dst = binary.AppendUvarint(dst, p.SpecExecs)
-	dst = binary.AppendUvarint(dst, p.SpecReexecs)
-	dst = binary.AppendUvarint(dst, p.SpecValidationFails)
-	dst = binary.AppendUvarint(dst, p.Adds)
-	dst = binary.AppendUvarint(dst, p.BoostedOps)
-	dst = binary.AppendUvarint(dst, p.HotPromotions)
-	dst = binary.AppendUvarint(dst, p.HotDemotions)
+	for i := range p.Ops {
+		dst = binary.AppendUvarint(dst, p.Ops[i].Count)
+		dst = p.Ops[i].Hist.AppendBinary(dst)
+	}
+	dst = binary.AppendUvarint(dst, uint64(stm.NumCauses))
+	for _, n := range p.AbortsByCause {
+		dst = binary.AppendUvarint(dst, n)
+	}
+	dst = binary.AppendUvarint(dst, numFields(StatsTable))
+	dst = appendFields(dst, StatsTable, p)
 	dst = binary.AppendUvarint(dst, uint64(len(p.ShardStats)))
 	for i := range p.ShardStats {
-		st := &p.ShardStats[i]
-		dst = binary.AppendUvarint(dst, st.Ops)
-		dst = binary.AppendUvarint(dst, st.Aborts)
-		dst = binary.AppendUvarint(dst, st.HotKeys)
-		dst = binary.AppendUvarint(dst, st.WALBytes)
+		dst = appendFields(dst, ShardTable, &p.ShardStats[i])
 	}
 	return dst
 }
@@ -175,6 +346,9 @@ func (p *StatsPayload) Decode(body []byte) error {
 	if p.CM, b, err = readString(b); err != nil {
 		return err
 	}
+	if p.Exec, b, err = readString(b); err != nil {
+		return err
+	}
 	var u uint64
 	if u, b, err = readUvarint(b); err != nil {
 		return err
@@ -184,6 +358,11 @@ func (p *StatsPayload) Decode(body []byte) error {
 		return err
 	}
 	p.Conns = int(u)
+	if len(b) == 0 || b[0] > 1 {
+		return perr(ErrBadBody, "stats payload bad wal flag")
+	}
+	p.WALEnabled = b[0] == 1
+	b = b[1:]
 	for i := range p.Ops {
 		if p.Ops[i].Count, b, err = readUvarint(b); err != nil {
 			return err
@@ -191,12 +370,6 @@ func (p *StatsPayload) Decode(body []byte) error {
 		if b, err = p.Ops[i].Hist.DecodeBinary(b); err != nil {
 			return perr(ErrBadBody, "stats histogram: "+err.Error())
 		}
-	}
-	if p.Commits, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.Aborts, b, err = readUvarint(b); err != nil {
-		return err
 	}
 	if u, b, err = readUvarint(b); err != nil {
 		return err
@@ -209,51 +382,13 @@ func (p *StatsPayload) Decode(body []byte) error {
 			return err
 		}
 	}
-	if len(b) == 0 {
-		return perr(ErrBadBody, "stats payload missing wal flag")
-	}
-	switch b[0] {
-	case 0:
-	case 1:
-		p.WALEnabled = true
-	default:
-		return perr(ErrBadBody, "stats payload bad wal flag")
-	}
-	b = b[1:]
-	if p.WALAppends, b, err = readUvarint(b); err != nil {
+	if u, b, err = readUvarint(b); err != nil {
 		return err
 	}
-	if p.WALSyncs, b, err = readUvarint(b); err != nil {
-		return err
+	if u != numFields(StatsTable) {
+		return perr(ErrBadBody, fmt.Sprintf("stats payload has %d scalars, want %d", u, numFields(StatsTable)))
 	}
-	if p.WALBytes, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.Exec, b, err = readString(b); err != nil {
-		return err
-	}
-	if p.SpecBatches, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.SpecExecs, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.SpecReexecs, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.SpecValidationFails, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.Adds, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.BoostedOps, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.HotPromotions, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if p.HotDemotions, b, err = readUvarint(b); err != nil {
+	if b, err = readFields(b, StatsTable, p); err != nil {
 		return err
 	}
 	if u, b, err = readUvarint(b); err != nil {
@@ -265,17 +400,7 @@ func (p *StatsPayload) Decode(body []byte) error {
 	if u > 0 {
 		p.ShardStats = make([]ShardTelemetry, u)
 		for i := range p.ShardStats {
-			st := &p.ShardStats[i]
-			if st.Ops, b, err = readUvarint(b); err != nil {
-				return err
-			}
-			if st.Aborts, b, err = readUvarint(b); err != nil {
-				return err
-			}
-			if st.HotKeys, b, err = readUvarint(b); err != nil {
-				return err
-			}
-			if st.WALBytes, b, err = readUvarint(b); err != nil {
+			if b, err = readFields(b, ShardTable, &p.ShardStats[i]); err != nil {
 				return err
 			}
 		}

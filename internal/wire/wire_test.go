@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -209,46 +210,49 @@ func TestDecodeRejections(t *testing.T) {
 	}
 }
 
-// TestStatsPayloadRoundTrip pins the telemetry encoding end to end.
-func TestStatsPayloadRoundTrip(t *testing.T) {
-	p := StatsPayload{Engine: "oestm", CM: "adaptive", Shards: 16, Conns: 3}
+// fullStatsPayload populates every field of a payload, every scalar with
+// a distinct value (the tables assign them, so a new row is covered the
+// day it is added): a codec, Sub or Add that swaps, skips or doubles a
+// field cannot round-trip it.
+func fullStatsPayload() StatsPayload {
+	p := StatsPayload{Engine: "oestm", CM: "adaptive", Shards: 16, Conns: 3, WALEnabled: true, Exec: "batch"}
 	for i := range p.Ops {
 		p.Ops[i].Count = uint64(10 * i)
 		for j := 0; j < i*5; j++ {
 			p.Ops[i].Hist.Record(time.Duration(j) * time.Microsecond)
 		}
 	}
-	p.Commits, p.Aborts = 1000, 42
 	for i := range p.AbortsByCause {
 		p.AbortsByCause[i] = uint64(i)
 	}
-	p.ShardStats = make([]ShardTelemetry, p.Shards)
-	for i := range p.ShardStats {
-		p.ShardStats[i] = ShardTelemetry{Ops: uint64(100 + i), Aborts: uint64(i), HotKeys: uint64(i % 3), WALBytes: uint64(1000 * i)}
+	next := uint64(1000)
+	for i := range StatsTable {
+		if f := StatsTable[i].Field; f != nil {
+			*f(&p) = next
+			next++
+		}
 	}
+	p.ShardStats = make([]ShardTelemetry, p.Shards)
+	for s := range p.ShardStats {
+		for i := range ShardTable {
+			*ShardTable[i].Field(&p.ShardStats[s]) = next
+			next++
+		}
+	}
+	return p
+}
+
+// TestStatsPayloadRoundTrip pins the telemetry encoding end to end:
+// whole payloads compared, every field populated.
+func TestStatsPayloadRoundTrip(t *testing.T) {
+	p := fullStatsPayload()
 	body := AppendStats(nil, &p)
 	var got StatsPayload
 	if err := got.Decode(body); err != nil {
 		t.Fatal(err)
 	}
-	if got.Engine != p.Engine || got.CM != p.CM || got.Shards != p.Shards || got.Conns != p.Conns {
-		t.Fatalf("identity changed: %+v", got)
-	}
-	if got.Commits != p.Commits || got.Aborts != p.Aborts || got.AbortsByCause != p.AbortsByCause {
-		t.Fatalf("counters changed: %+v", got)
-	}
-	for i := range p.Ops {
-		if got.Ops[i] != p.Ops[i] {
-			t.Fatalf("op %s telemetry changed", Op(i))
-		}
-	}
-	if len(got.ShardStats) != len(p.ShardStats) {
-		t.Fatalf("shard block length changed: %d", len(got.ShardStats))
-	}
-	for i := range p.ShardStats {
-		if got.ShardStats[i] != p.ShardStats[i] {
-			t.Fatalf("shard %d telemetry changed: %+v", i, got.ShardStats[i])
-		}
+	if !reflect.DeepEqual(got, p) {
+		t.Fatalf("payload changed in flight:\n got %+v\nwant %+v", got, p)
 	}
 
 	if err := got.Decode(body[:len(body)-1]); err == nil {
@@ -259,6 +263,125 @@ func TestStatsPayloadRoundTrip(t *testing.T) {
 	}
 	if err := got.Decode([]byte{99}); err == nil {
 		t.Fatal("wrong version accepted")
+	}
+}
+
+// uint64Fields returns the address of every uint64 field of the struct
+// v points to, by name.
+func uint64Fields(v any) map[string]*uint64 {
+	out := map[string]*uint64{}
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Field(i); f.Kind() == reflect.Uint64 {
+			out[rv.Type().Field(i).Name] = f.Addr().Interface().(*uint64)
+		}
+	}
+	return out
+}
+
+// checkTableCoversFields asserts the "declare once" contract of a stats
+// table against its struct by reflection (test-only): every uint64 field
+// is addressed by exactly one row, so a field added without its row —
+// which no codec, delta, series or column would then carry — fails here.
+func checkTableCoversFields[T any](t *testing.T, table []Stat[T]) {
+	t.Helper()
+	var v T
+	hits := map[*uint64]int{}
+	names := map[string]bool{}
+	for i := range table {
+		d := &table[i]
+		if names[d.Name] {
+			t.Errorf("row name %q appears twice", d.Name)
+		}
+		names[d.Name] = true
+		if (d.Field != nil) == (d.Label != nil) {
+			t.Errorf("row %q must have exactly one of Field and Label", d.Name)
+		}
+		if (d.Label != nil) != (d.Kind == StatFlag || d.Kind == StatLabel) {
+			t.Errorf("row %q: kind %d does not match its accessor", d.Name, d.Kind)
+		}
+		if d.Field != nil {
+			hits[d.Field(&v)]++
+		}
+	}
+	for name, addr := range uint64Fields(&v) {
+		if hits[addr] != 1 {
+			t.Errorf("%T.%s is addressed by %d table rows, want exactly 1", v, name, hits[addr])
+		}
+		delete(hits, addr)
+	}
+	if len(hits) != 0 {
+		t.Errorf("%d rows address storage that is not a uint64 field of %T", len(hits), v)
+	}
+}
+
+func TestStatsTablesCoverEveryField(t *testing.T) {
+	checkTableCoversFields(t, StatsTable)
+	checkTableCoversFields(t, ShardTable)
+}
+
+// TestStatsPayloadSubAdd pins the window arithmetic the tables drive:
+// Sub leaves exactly what happened between two scrapes (counters,
+// per-opcode counts, histograms, causes, per-shard counters), keeps the
+// later scrape's identity and gauges, saturates instead of wrapping, and
+// leaves both operands' shard rows alone; Add is its inverse on counters.
+func TestStatsPayloadSubAdd(t *testing.T) {
+	s0 := fullStatsPayload()
+	s1 := fullStatsPayload()
+	s1.Conns = 9
+	for i := range StatsTable {
+		if f := StatsTable[i].Field; f != nil {
+			*f(&s1) += uint64(i + 1)
+		}
+	}
+	s1.AbortsByCause[2] += 5
+	s1.Ops[1].Count += 7
+	s1.Ops[1].Hist.Record(3 * time.Millisecond)
+	s1.ShardStats[4] = ShardTelemetry{Ops: s0.ShardStats[4].Ops + 11, Aborts: s0.ShardStats[4].Aborts, HotKeys: 2, WALBytes: s0.ShardStats[4].WALBytes + 13}
+	s1.ShardStats[5].Ops = 0 // a peer that went backwards clamps, not wraps
+
+	keep := s1
+	keep.ShardStats = append([]ShardTelemetry(nil), s1.ShardStats...)
+	d := s1
+	d.Sub(&s0)
+	if !reflect.DeepEqual(s1, keep) {
+		t.Fatal("Sub on a by-value copy disturbed the original's shard rows")
+	}
+	if d.Engine != s1.Engine || d.Conns != 9 || !d.WALEnabled || d.Exec != s1.Exec {
+		t.Fatalf("identity not the later scrape's: %+v", d)
+	}
+	for i := range StatsTable {
+		if f := StatsTable[i].Field; f != nil && *f(&d) != uint64(i+1) {
+			t.Errorf("%s delta = %d, want %d", StatsTable[i].Name, *f(&d), i+1)
+		}
+	}
+	if d.AbortsByCause[2] != 5 || d.AbortsByCause[3] != 0 {
+		t.Errorf("cause deltas: %v", d.AbortsByCause)
+	}
+	if d.Ops[1].Count != 7 || d.Ops[1].Hist.Count() != 1 || d.Ops[2].Count != 0 || d.Ops[2].Hist.Count() != 0 {
+		t.Errorf("op deltas: count %d, hist %d", d.Ops[1].Count, d.Ops[1].Hist.Count())
+	}
+	if got, want := d.ShardStats[4], (ShardTelemetry{Ops: 11, HotKeys: 2, WALBytes: 13}); got != want {
+		t.Errorf("shard 4 delta = %+v, want %+v (hot_keys is a gauge: later reading kept)", got, want)
+	}
+	if d.ShardStats[5].Ops != 0 {
+		t.Errorf("backwards counter wrapped to %d", d.ShardStats[5].Ops)
+	}
+
+	// Add folds the window back onto its base: counters return to the
+	// later scrape's, apart from the one clamped above.
+	sum := s0
+	sum.Add(&d)
+	for i := range StatsTable {
+		if f := StatsTable[i].Field; f != nil && *f(&sum) != *f(&s1) {
+			t.Errorf("%s: base+window = %d, want %d", StatsTable[i].Name, *f(&sum), *f(&s1))
+		}
+	}
+	if sum.Ops[1] != s1.Ops[1] || sum.AbortsByCause != s1.AbortsByCause {
+		t.Error("Add did not restore the per-opcode and per-cause counters")
+	}
+	if sum.ShardStats[4].Ops != s1.ShardStats[4].Ops || sum.ShardStats[4].HotKeys != s0.ShardStats[4].HotKeys {
+		t.Errorf("shard 4 after Add: %+v", sum.ShardStats[4])
 	}
 }
 
