@@ -67,7 +67,9 @@ func (tm *TM) Outherits() bool { return tm.outherit }
 // as elements). Install before running transactions.
 func (tm *TM) SetTracer(tr stm.Tracer) { tm.tracer = tr }
 
-// elemOf returns the protection-element proxy of an abstract lock.
+// elemOf returns the protection-element proxy of an abstract lock. The
+// word is an identity token for the tracer — nothing ever locks or stores
+// to it — so it needs no isolation from its neighbours.
 func (tm *TM) elemOf(l *Lock) *mvar.Word {
 	if v, ok := tm.elems.Load(l); ok {
 		return v.(*mvar.Word)

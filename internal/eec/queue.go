@@ -17,7 +17,9 @@ import (
 // non-empty queue touch disjoint locations and do not conflict.
 type Queue struct {
 	head mvar.Var[qnode] // holds *qnode
+	_    [64]byte        // dequeuers write head, enqueuers write tail: never one cache line
 	tail mvar.Var[qnode] // holds *qnode
+	_    [64]byte        // keeps tail off the line of whatever follows (a pipeline's next queue's head)
 }
 
 type qnode struct {

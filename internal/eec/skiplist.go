@@ -11,6 +11,11 @@ import (
 // the paper's 2^12..2^13 element counts.
 const maxLevel = 16
 
+// coTowerMax is the tallest tower a skiplist node carries inside its own
+// heap object (see newSnode, newMnode); 15/16 of the towers drawn by
+// randomHeight fit.
+const coTowerMax = 4
+
 // snode is a skiplist node: an immutable key, one transactional link per
 // level of its tower, and a transactional removal mark. The mark is what
 // lets concurrent updates detect that a predecessor they located during
@@ -18,14 +23,44 @@ const maxLevel = 16
 // the marks of the nodes it writes through, so a removal (which sets the
 // mark) invalidates those readers at commit time. Links are typed
 // variables and the mark a typed flag, so traversals never box.
+//
+// key and the next header — what every hop reads — come first; the mark,
+// which only updates read, follows.
 type snode struct {
 	key    int
+	next   []mvar.Var[snode] // each holds *snode; len is the tower height
 	marked mvar.Flag         // zero value reads as false
-	next   []mvar.Var[snode] // each holds *snode
 }
 
+// newSnode allocates a node with a tower of the given height: in the same
+// heap object, immediately before the node, for heights ≤ coTowerMax, and
+// as a separate slice above that. See newMnode, which has the same shape.
 func newSnode(key, height int) *snode {
-	return &snode{key: key, next: make([]mvar.Var[snode], height)}
+	var n *snode
+	switch {
+	case height == 1:
+		x := new(struct {
+			t [1]mvar.Var[snode]
+			snode
+		})
+		n, x.next = &x.snode, x.t[:]
+	case height == 2:
+		x := new(struct {
+			t [2]mvar.Var[snode]
+			snode
+		})
+		n, x.next = &x.snode, x.t[:]
+	case height <= coTowerMax:
+		x := new(struct {
+			t [coTowerMax]mvar.Var[snode]
+			snode
+		})
+		n, x.next = &x.snode, x.t[:height]
+	default:
+		n = &snode{next: make([]mvar.Var[snode], height)}
+	}
+	n.key = key
+	return n
 }
 
 // SkipListSet is the skip list set of e.e.c (Fig. 5 / Fig. 7). Updates

@@ -11,6 +11,20 @@
 // to either write-locking the word or recording its version in a read set
 // that will be revalidated.
 //
+// # Memory layout
+//
+// A Word is its three cells and nothing else: 24 bytes, no padding. Words
+// are overwhelmingly the links, marks and values of collection nodes, which
+// a traversal reads hop after hop and rarely writes, so the cost that
+// matters is how many cache lines a hop touches — a word sits on the same
+// line as the key and the neighbouring fields of its node, and two list
+// nodes fit in one line. Isolation from false sharing is the job of the
+// few structs that really have two words written back-to-back by different
+// goroutines (eec.Queue's head and tail, a scenario's pair of global
+// counters, the Clock below): they put a plain `_ [64]byte` between the two
+// and say which writers it separates. internal/mvar and internal/eec pin
+// both facts — the sizes and the separations — in their TestLayout* tests.
+//
 // # Lock-word encoding and budgets
 //
 // This is the single authoritative description of the lock-word layout;

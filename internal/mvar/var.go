@@ -16,8 +16,12 @@ const MaxVersion uint64 = 1<<PayloadBits - 1
 
 // Word is a single transactional memory word: the versioned lock word plus
 // raw payload storage. The zero value is an unlocked word at version 0
-// holding a zero payload. Words are padded to a cache line so that hot
-// locations in concurrent data structures do not false-share.
+// holding a zero payload.
+//
+// A Word is exactly its three cells (24 bytes) and carries no padding, so
+// it shares a cache line with the node fields around it; a struct whose
+// words are written by different goroutines pads between them itself. See
+// "Memory layout" in the package comment.
 //
 // Engines operate exclusively on *Word and Raw; user code holds one of the
 // typed views (Var[T], Flag, AnyVar) that embed a Word.
@@ -25,7 +29,6 @@ type Word struct {
 	meta atomic.Uint64
 	ptr  atomic.Pointer[byte]
 	bits atomic.Uint64
-	_    [40]byte
 }
 
 // Raw is the uniform payload currency between typed variables and engines:

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestLockWordEncoding(t *testing.T) {
@@ -280,6 +281,28 @@ func TestOwnerRoundTripFullBudget(t *testing.T) {
 		w := lockWord(owner)
 		if !Locked(w) || Owner(w) != owner {
 			t.Fatalf("owner %d round-tripped to %d", owner, Owner(w))
+		}
+	}
+}
+
+// TestLayoutWord pins the word at its three cells. Every link of every
+// list and skip-list node is a Word, so padding here is a tax on each hop
+// of each traversal; a struct whose words are written by different
+// goroutines pads between them itself (eec.Queue does).
+func TestLayoutWord(t *testing.T) {
+	var (
+		w Word
+		v Var[int]
+		f Flag
+		i IntVar
+		a AnyVar
+	)
+	for name, got := range map[string]uintptr{
+		"Word": unsafe.Sizeof(w), "Var": unsafe.Sizeof(v), "Flag": unsafe.Sizeof(f),
+		"IntVar": unsafe.Sizeof(i), "AnyVar": unsafe.Sizeof(a),
+	} {
+		if got != 24 {
+			t.Errorf("Sizeof(%s) = %d, want 24", name, got)
 		}
 	}
 }

@@ -431,10 +431,12 @@ func (s *bankScenario) Check(th *stm.Thread) {
 // both: items sit in neither queue between the two transactions, and two
 // unsound stages can reorder items.
 type pipelineScenario struct {
-	cfg                ScenarioConfig
-	q1, q2             *eec.Queue
-	produced, consumed mvar.IntVar
-	violations         atomic.Uint64
+	cfg        ScenarioConfig
+	q1, q2     *eec.Queue
+	produced   mvar.IntVar
+	_          [64]byte // producers write produced, consumers write consumed: never one cache line
+	consumed   mvar.IntVar
+	violations atomic.Uint64
 }
 
 func newPipelineScenario(cfg ScenarioConfig) *pipelineScenario {

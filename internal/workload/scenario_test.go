@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"oestm/internal/core"
 	"oestm/internal/stm"
@@ -208,5 +209,15 @@ func TestUnsoundExecutionsViolate(t *testing.T) {
 		if !found {
 			t.Errorf("scenario %s: unsound concurrent execution never violated its invariant", name)
 		}
+	}
+}
+
+// TestLayoutPipelineCounters pins the pipeline's two global sequence
+// counters apart: producers write one and consumers the other on every
+// step, so they must never share a cache line.
+func TestLayoutPipelineCounters(t *testing.T) {
+	var s pipelineScenario
+	if d := unsafe.Offsetof(s.consumed) - (unsafe.Offsetof(s.produced) + unsafe.Sizeof(s.produced)); d < 64 {
+		t.Errorf("produced and consumed are %d bytes apart, want ≥ 64", d)
 	}
 }
