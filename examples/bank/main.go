@@ -64,7 +64,7 @@ func main() {
 				if to >= from {
 					to++
 				}
-				bank.Transfer(th, from, to, 1+rng.IntN(100))
+				bank.Transfer(th, from, to, 1+rng.Int64N(100))
 			}
 		}(uint64(g + 1))
 	}

@@ -7,7 +7,7 @@ const MaxLevel = maxLevel
 
 // PutHeight and AddHeight are Put and Add with the tower height forced
 // instead of drawn.
-func PutHeight(m *SkipListMap, th *stm.Thread, key, height int, val any) (any, bool) {
+func PutHeight(m *SkipListMap, th *stm.Thread, key, height int, val int64) (int64, bool) {
 	f := frameOf(th)
 	f.height = height
 	return f.mapOp(mapPut, m, key, val)

@@ -63,7 +63,7 @@ func TestLayoutNodes(t *testing.T) {
 		if h > coTowerMax {
 			wantAllocs = 2
 		}
-		if got := testing.AllocsPerRun(100, func() { sinkM = newMnode(1, h, nil) }); got != wantAllocs {
+		if got := testing.AllocsPerRun(100, func() { sinkM = newMnode(1, h, 0) }); got != wantAllocs {
 			t.Errorf("newMnode(height %d): %.0f allocations, want %.0f", h, got, wantAllocs)
 		}
 		if got := testing.AllocsPerRun(100, func() { sinkS = newSnode(1, h) }); got != wantAllocs {
@@ -95,7 +95,7 @@ func TestLayoutNodes(t *testing.T) {
 		if mTower >= cacheLine || sTower >= cacheLine {
 			t.Errorf("height %d: level-0 link is %d (map) / %d (set) bytes before key, want < %d", h, mTower, sTower, cacheLine)
 		}
-		if got := heapBytesPerRun(func() { sinkM = newMnode(1, h, nil) }); got > 2*cacheLine {
+		if got := heapBytesPerRun(func() { sinkM = newMnode(1, h, 0) }); got > 2*cacheLine {
 			t.Errorf("mnode height %d occupies %d heap bytes, want ≤ %d", h, got, 2*cacheLine)
 		}
 		if got := heapBytesPerRun(func() { sinkS = newSnode(1, h) }); got > 2*cacheLine {
@@ -128,9 +128,9 @@ func TestLayoutQueue(t *testing.T) {
 func buildAndKeepTower(t *testing.T, freed *atomic.Int32) []mvar.Var[mnode] {
 	th := stm.NewThread(core.New())
 	m := NewSkipListMap()
-	PutHeight(m, th, 10, 1, "a")
-	PutHeight(m, th, 20, 2, "b")
-	PutHeight(m, th, 30, 4, "c")
+	PutHeight(m, th, 10, 1, -1)
+	PutHeight(m, th, 20, 2, 0)
+	PutHeight(m, th, 30, 4, 1<<40)
 	a := m.head.next[0].Load()
 	b := a.next[0].Load()
 	c := b.next[0].Load()
@@ -163,8 +163,8 @@ func TestCoAllocatedTowerKeepsNodeAlive(t *testing.T) {
 		t.Fatalf("%d co-allocated node objects were collected while a tower slice still reached them", n)
 	}
 	c := tower[0].Load()
-	if c.key != 30 || c.val.Load() != "c" || tower[1].Load() != c {
-		t.Fatalf("node behind the surviving tower reads %d=%v, want 30=c", c.key, c.val.Load())
+	if c.key != 30 || c.val.Load() != 1<<40 || tower[1].Load() != c {
+		t.Fatalf("node behind the surviving tower reads %d=%d, want 30=%d", c.key, c.val.Load(), int64(1<<40))
 	}
 	if len(c.next) != 4 || c.next[0].Load().key != math.MaxInt {
 		t.Fatalf("tower of the surviving successor is damaged: len %d", len(c.next))

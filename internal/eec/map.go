@@ -13,16 +13,17 @@ import (
 // atomic (§I). Here every operation, including Size, Range and the
 // composed PutIfAbsent/PutAll/Transfer, is atomic.
 //
-// Keys are immutable ints; values live in a transactional field of the
-// node, so updating a present key conflicts only on that node.
+// Keys are immutable ints and values are int64s held directly in a
+// transactional word of the node (mvar.IntVar): updating a present key
+// conflicts only on that node and allocates nothing, and a read stops at
+// the node it already loaded.
 type SkipListMap struct {
 	head *mnode
 	tail *mnode
 }
 
 // mnode is a skiplist map node: immutable key, tower links, transactional
-// value and removal mark. The links and mark are typed (no boxing); the
-// value cell holds an arbitrary user value and therefore boxes on update.
+// value and removal mark, all typed words (no boxing).
 //
 // Field order is the traversal's access order: a hop reads key and the
 // next header (and through it one link), only a hit goes on to val and
@@ -32,7 +33,7 @@ type SkipListMap struct {
 type mnode struct {
 	key    int
 	next   []mvar.Var[mnode] // each holds *mnode; len is the tower height
-	val    mvar.AnyVar       // holds any
+	val    mvar.IntVar       // holds int64
 	marked mvar.Flag         // holds bool
 }
 
@@ -42,7 +43,7 @@ type mnode struct {
 // are rare enough to take a separate allocation. n.next aliases the
 // co-allocated array: the slice's interior pointer keeps the whole object
 // alive, and nothing outside this constructor can tell the shapes apart.
-func newMnode(key, height int, val any) *mnode {
+func newMnode(key, height int, val int64) *mnode {
 	var n *mnode
 	switch {
 	case height == 1:
@@ -73,8 +74,8 @@ func newMnode(key, height int, val any) *mnode {
 
 // NewSkipListMap returns an empty SkipListMap.
 func NewSkipListMap() *SkipListMap {
-	tail := newMnode(math.MaxInt, maxLevel, nil)
-	head := newMnode(math.MinInt, maxLevel, nil)
+	tail := newMnode(math.MaxInt, maxLevel, 0)
+	head := newMnode(math.MinInt, maxLevel, 0)
 	for l := 0; l < maxLevel; l++ {
 		head.next[l].Init(tail)
 	}
@@ -86,6 +87,8 @@ func (m *SkipListMap) Name() string { return "skiplistmap" }
 
 // find locates, per level, the rightmost node with key < f.mKey, filling
 // the frame's scratch array (which keeps the predecessors off the heap).
+//
+//compose:noalloc
 func (m *SkipListMap) find(tx stm.Tx, f *opFrame) {
 	key := f.mKey
 	curr := m.head
@@ -100,19 +103,21 @@ func (m *SkipListMap) find(tx stm.Tx, f *opFrame) {
 }
 
 // get is the transactional body of Get.
+//
+//compose:noalloc
 func (m *SkipListMap) get(tx stm.Tx, f *opFrame) {
-	f.mRet, f.mOK = nil, false
+	f.mRet, f.mOK = 0, false
 	m.find(tx, f)
 	target := stm.ReadPtr(tx, &f.mPreds[0].next[0])
 	if target.key == f.mKey {
-		f.mRet, f.mOK = tx.Read(&target.val), true
+		f.mRet, f.mOK = stm.ReadInt(tx, &target.val), true
 	}
 }
 
 // put is the transactional body of Put; f.height carries the tower height
 // drawn outside the transaction, f.mVal the value to store.
 func (m *SkipListMap) put(tx stm.Tx, f *opFrame) {
-	f.mRet, f.mOK = nil, false
+	f.mRet, f.mOK = 0, false
 	key := f.mKey
 	m.find(tx, f)
 	target := stm.ReadPtr(tx, &f.mPreds[0].next[0])
@@ -120,8 +125,8 @@ func (m *SkipListMap) put(tx stm.Tx, f *opFrame) {
 		if stm.ReadFlag(tx, &target.marked) {
 			stm.Conflict("skiplistmap: node concurrently removed")
 		}
-		f.mRet, f.mOK = tx.Read(&target.val), true
-		tx.Write(&target.val, f.mVal)
+		f.mRet, f.mOK = stm.ReadInt(tx, &target.val), true
+		stm.WriteInt(tx, &target.val, f.mVal)
 		return
 	}
 	if f.mPreds[0].key >= key || target.key < key {
@@ -149,7 +154,7 @@ func (m *SkipListMap) put(tx stm.Tx, f *opFrame) {
 
 // remove is the transactional body of Remove.
 func (m *SkipListMap) remove(tx stm.Tx, f *opFrame) {
-	f.mRet, f.mOK = nil, false
+	f.mRet, f.mOK = 0, false
 	key := f.mKey
 	m.find(tx, f)
 	target := stm.ReadPtr(tx, &f.mPreds[0].next[0])
@@ -162,7 +167,7 @@ func (m *SkipListMap) remove(tx stm.Tx, f *opFrame) {
 	if stm.ReadFlag(tx, &target.marked) || stm.ReadFlag(tx, &f.mPreds[0].marked) {
 		stm.Conflict("skiplistmap: node concurrently removed")
 	}
-	f.mRet, f.mOK = tx.Read(&target.val), true
+	f.mRet, f.mOK = stm.ReadInt(tx, &target.val), true
 	stm.WriteFlag(tx, &target.marked, true)
 	for l := len(target.next) - 1; l >= 0; l-- {
 		pred := f.mPreds[l]
@@ -183,8 +188,8 @@ func (m *SkipListMap) remove(tx stm.Tx, f *opFrame) {
 }
 
 // Get returns the value stored under key and whether it is present.
-func (m *SkipListMap) Get(th *stm.Thread, key int) (any, bool) {
-	return frameOf(th).mapOp(mapGet, m, key, nil)
+func (m *SkipListMap) Get(th *stm.Thread, key int) (int64, bool) {
+	return frameOf(th).mapOp(mapGet, m, key, 0)
 }
 
 // GetTx reads the value under key inside the caller's open transaction
@@ -196,7 +201,9 @@ func (m *SkipListMap) Get(th *stm.Thread, key int) (any, bool) {
 // read — every link and value read here joins the caller's protected set
 // directly, so the whole multi-map observation validates as one snapshot
 // on every engine. Allocation-free.
-func (m *SkipListMap) GetTx(tx stm.Tx, key int) (any, bool) {
+//
+//compose:noalloc
+func (m *SkipListMap) GetTx(tx stm.Tx, key int) (int64, bool) {
 	curr := m.head
 	for l := maxLevel - 1; l >= 0; l-- {
 		next := stm.ReadPtr(tx, &curr.next[l])
@@ -207,9 +214,9 @@ func (m *SkipListMap) GetTx(tx stm.Tx, key int) (any, bool) {
 	}
 	target := stm.ReadPtr(tx, &curr.next[0])
 	if target.key == key {
-		return tx.Read(&target.val), true
+		return stm.ReadInt(tx, &target.val), true
 	}
-	return nil, false
+	return 0, false
 }
 
 // ContainsKey reports whether key is present.
@@ -218,23 +225,23 @@ func (m *SkipListMap) ContainsKey(th *stm.Thread, key int) bool {
 	return ok
 }
 
-// Put stores val under key, returning the previous value (nil, false if
+// Put stores val under key, returning the previous value (0, false if
 // the key was absent).
-func (m *SkipListMap) Put(th *stm.Thread, key int, val any) (any, bool) {
+func (m *SkipListMap) Put(th *stm.Thread, key int, val int64) (int64, bool) {
 	f := frameOf(th)
 	f.height = randomHeight(th)
 	return f.mapOp(mapPut, m, key, val)
 }
 
-// Remove deletes key, returning the removed value (nil, false if absent).
-func (m *SkipListMap) Remove(th *stm.Thread, key int) (any, bool) {
-	return frameOf(th).mapOp(mapRemove, m, key, nil)
+// Remove deletes key, returning the removed value (0, false if absent).
+func (m *SkipListMap) Remove(th *stm.Thread, key int) (int64, bool) {
+	return frameOf(th).mapOp(mapRemove, m, key, 0)
 }
 
 // PutIfAbsent stores val only when key is absent — a composition of
 // ContainsKey and Put, atomic thanks to outheritance. It reports whether
 // the value was stored.
-func (m *SkipListMap) PutIfAbsent(th *stm.Thread, key int, val any) bool {
+func (m *SkipListMap) PutIfAbsent(th *stm.Thread, key int, val int64) bool {
 	stored := false
 	_ = th.Atomic(OpKind(th), func(stm.Tx) error {
 		stored = false
@@ -248,7 +255,7 @@ func (m *SkipListMap) PutIfAbsent(th *stm.Thread, key int, val any) bool {
 }
 
 // PutAll stores every entry atomically (composed from Put).
-func (m *SkipListMap) PutAll(th *stm.Thread, entries map[int]any) {
+func (m *SkipListMap) PutAll(th *stm.Thread, entries map[int]int64) {
 	// Deterministic order so retried compositions behave identically.
 	keys := make([]int, 0, len(entries))
 	for k := range entries {
@@ -266,11 +273,11 @@ func (m *SkipListMap) PutAll(th *stm.Thread, entries map[int]any) {
 // Transfer atomically moves amount from the value under `from` to the
 // value under `to` — the bank-account transfer of the composed-scenario
 // suite, composed from Get and Put through the thread's pre-bound frame
-// (no per-call closure). Both values must be ints. The transfer happens
-// only when both keys are present and the source balance covers amount;
-// it reports whether it happened. from == to and non-positive amounts are
-// rejected (they could not conserve the total).
-func (m *SkipListMap) Transfer(th *stm.Thread, from, to, amount int) bool {
+// (no per-call closure). The transfer happens only when both keys are
+// present and the source balance covers amount; it reports whether it
+// happened. from == to and non-positive amounts are rejected (they could
+// not conserve the total).
+func (m *SkipListMap) Transfer(th *stm.Thread, from, to int, amount int64) bool {
 	if amount <= 0 || from == to {
 		return false
 	}
@@ -281,18 +288,15 @@ func (m *SkipListMap) Transfer(th *stm.Thread, from, to, amount int) bool {
 	return f.cOK
 }
 
-// SumInt atomically sums the int-typed values of the map in one
-// transaction — the total-balance audit of the bank scenario. Non-int
-// values count as zero.
-func (m *SkipListMap) SumInt(th *stm.Thread) int {
-	total := 0
+// SumInt atomically sums the values of the map in one transaction — the
+// total-balance audit of the bank scenario.
+func (m *SkipListMap) SumInt(th *stm.Thread) int64 {
+	var total int64
 	_ = th.Atomic(stm.Regular, func(tx stm.Tx) error {
 		total = 0
 		curr := stm.ReadPtr(tx, &m.head.next[0])
 		for curr.key != math.MaxInt {
-			if n, ok := tx.Read(&curr.val).(int); ok {
-				total += n
-			}
+			total += stm.ReadInt(tx, &curr.val)
 			curr = stm.ReadPtr(tx, &curr.next[0])
 		}
 		return nil
@@ -318,17 +322,17 @@ func (m *SkipListMap) Size(th *stm.Thread) int {
 // Range calls fn for every entry in ascending key order within one
 // atomic snapshot; fn returning false stops the iteration. fn must not
 // start transactions on th.
-func (m *SkipListMap) Range(th *stm.Thread, fn func(key int, val any) bool) {
+func (m *SkipListMap) Range(th *stm.Thread, fn func(key int, val int64) bool) {
 	type entry struct {
 		k int
-		v any
+		v int64
 	}
 	var snapshot []entry
 	_ = th.Atomic(stm.Regular, func(tx stm.Tx) error {
 		snapshot = snapshot[:0]
 		curr := stm.ReadPtr(tx, &m.head.next[0])
 		for curr.key != math.MaxInt {
-			snapshot = append(snapshot, entry{curr.key, tx.Read(&curr.val)})
+			snapshot = append(snapshot, entry{curr.key, stm.ReadInt(tx, &curr.val)})
 			curr = stm.ReadPtr(tx, &curr.next[0])
 		}
 		return nil

@@ -1,6 +1,7 @@
 package eec_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -23,13 +24,13 @@ func TestMapBasic(t *testing.T) {
 			if _, ok := m.Get(th, 1); ok {
 				t.Fatal("empty map has key 1")
 			}
-			if prev, had := m.Put(th, 1, "a"); had || prev != nil {
+			if prev, had := m.Put(th, 1, math.MinInt64); had || prev != 0 {
 				t.Fatalf("Put on absent key returned %v, %v", prev, had)
 			}
-			if v, ok := m.Get(th, 1); !ok || v != "a" {
+			if v, ok := m.Get(th, 1); !ok || v != math.MinInt64 {
 				t.Fatalf("Get = %v, %v", v, ok)
 			}
-			if prev, had := m.Put(th, 1, "b"); !had || prev != "a" {
+			if prev, had := m.Put(th, 1, math.MaxInt64); !had || prev != math.MinInt64 {
 				t.Fatalf("overwrite returned %v, %v", prev, had)
 			}
 			if !m.ContainsKey(th, 1) || m.ContainsKey(th, 2) {
@@ -38,7 +39,7 @@ func TestMapBasic(t *testing.T) {
 			if m.Size(th) != 1 {
 				t.Fatalf("size = %d", m.Size(th))
 			}
-			if prev, had := m.Remove(th, 1); !had || prev != "b" {
+			if prev, had := m.Remove(th, 1); !had || prev != math.MaxInt64 {
 				t.Fatalf("Remove returned %v, %v", prev, had)
 			}
 			if _, had := m.Remove(th, 1); had {
@@ -52,14 +53,14 @@ func TestMapPutIfAbsent(t *testing.T) {
 	tm := core.New()
 	th := stm.NewThread(tm)
 	m := eec.NewSkipListMap()
-	if !m.PutIfAbsent(th, 5, "x") {
+	if !m.PutIfAbsent(th, 5, -7) {
 		t.Fatal("PutIfAbsent on absent key failed")
 	}
-	if m.PutIfAbsent(th, 5, "y") {
+	if m.PutIfAbsent(th, 5, 8) {
 		t.Fatal("PutIfAbsent on present key stored")
 	}
-	if v, _ := m.Get(th, 5); v != "x" {
-		t.Fatalf("value = %v, want x", v)
+	if v, _ := m.Get(th, 5); v != -7 {
+		t.Fatalf("value = %v, want -7", v)
 	}
 }
 
@@ -67,10 +68,10 @@ func TestMapPutAllAndRange(t *testing.T) {
 	tm := core.New()
 	th := stm.NewThread(tm)
 	m := eec.NewSkipListMap()
-	m.PutAll(th, map[int]any{3: "c", 1: "a", 2: "b"})
+	m.PutAll(th, map[int]int64{3: 1 << 40, 1: -1, 2: 0})
 	var keys []int
-	var vals []any
-	m.Range(th, func(k int, v any) bool {
+	var vals []int64
+	m.Range(th, func(k int, v int64) bool {
 		keys = append(keys, k)
 		vals = append(vals, v)
 		return true
@@ -78,31 +79,31 @@ func TestMapPutAllAndRange(t *testing.T) {
 	if len(keys) != 3 || keys[0] != 1 || keys[1] != 2 || keys[2] != 3 {
 		t.Fatalf("range keys = %v", keys)
 	}
-	if vals[0] != "a" || vals[1] != "b" || vals[2] != "c" {
+	if vals[0] != -1 || vals[1] != 0 || vals[2] != 1<<40 {
 		t.Fatalf("range vals = %v", vals)
 	}
 	// Early stop.
 	count := 0
-	m.Range(th, func(int, any) bool { count++; return false })
+	m.Range(th, func(int, int64) bool { count++; return false })
 	if count != 1 {
 		t.Fatalf("early-stop visited %d entries", count)
 	}
 }
 
 // TestMapAgainstModel drives random operation sequences against a map
-// model.
+// model, over the whole value domain (see randValue).
 func TestMapAgainstModel(t *testing.T) {
 	tm := core.New()
 	th := stm.NewThread(tm)
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 5))
 		m := eec.NewSkipListMap()
-		model := map[int]int{}
+		model := map[int]int64{}
 		for i := 0; i < 200; i++ {
 			k := int(rng.IntN(25))
 			switch rng.IntN(4) {
 			case 0:
-				v := int(rng.IntN(1000))
+				v := randValue(rng)
 				prev, had := m.Put(th, k, v)
 				mprev, mhad := model[k], false
 				if _, ok := model[k]; ok {
@@ -141,9 +142,24 @@ func TestMapAgainstModel(t *testing.T) {
 	}
 }
 
-func hasKey(m map[int]int, k int) bool {
+func hasKey(m map[int]int64, k int) bool {
 	_, ok := m[k]
 	return ok
+}
+
+// randValue draws a map value from the whole int64 domain: the extremes,
+// the small values around zero, and wide values of either sign — values
+// are never reserved (only keys are), and the cell must round-trip every
+// one of them.
+func randValue(rng *rand.Rand) int64 {
+	switch rng.IntN(4) {
+	case 0:
+		return []int64{math.MinInt64, math.MaxInt64, -1, 0, 1 << 40}[rng.IntN(5)]
+	case 1:
+		return rng.Int64N(512) - 256
+	default:
+		return int64(rng.Uint64())
+	}
 }
 
 // TestMapConcurrentCounters uses map values as per-key counters updated
@@ -168,7 +184,7 @@ func TestMapConcurrentCounters(t *testing.T) {
 					if !ok {
 						m.Put(th, k, 1)
 					} else {
-						m.Put(th, k, v.(int)+1)
+						m.Put(th, k, v+1)
 					}
 					return nil
 				})
@@ -177,9 +193,9 @@ func TestMapConcurrentCounters(t *testing.T) {
 	}
 	wg.Wait()
 	th := stm.NewThread(tm)
-	total := 0
-	m.Range(th, func(_ int, v any) bool {
-		total += v.(int)
+	var total int64
+	m.Range(th, func(_ int, v int64) bool {
+		total += v
 		return true
 	})
 	if total != goroutines*per {
@@ -192,7 +208,7 @@ func TestMapConcurrentCounters(t *testing.T) {
 func TestMapAtomicSizeUnderBulk(t *testing.T) {
 	tm := core.New()
 	m := eec.NewSkipListMap()
-	block := map[int]any{10: "a", 11: "b", 12: "c", 13: "d"}
+	block := map[int]int64{10: 1, 11: -2, 12: 3, 13: -4}
 	stop := make(chan struct{})
 	var workers, observers sync.WaitGroup
 	workers.Add(1)
@@ -240,20 +256,20 @@ func TestMapGetTx(t *testing.T) {
 	a, b := eec.NewSkipListMap(), eec.NewSkipListMap()
 	for k := 0; k < 32; k++ {
 		if k%2 == 0 {
-			a.Put(th, k, k*10)
+			a.Put(th, k, int64(k*10))
 		} else {
-			b.Put(th, k, k*10)
+			b.Put(th, k, int64(k*10))
 		}
 	}
-	var gotA, gotB int
+	var gotA, gotB int64
 	body := func(tx stm.Tx) error {
 		gotA, gotB = 0, 0
 		for k := 0; k < 32; k++ {
 			if v, ok := a.GetTx(tx, k); ok {
-				gotA += v.(int)
+				gotA += v
 			}
 			if v, ok := b.GetTx(tx, k); ok {
-				gotB += v.(int)
+				gotB += v
 			}
 			if _, ok := a.GetTx(tx, k+1000); ok {
 				t.Error("GetTx found an absent key")
@@ -264,8 +280,8 @@ func TestMapGetTx(t *testing.T) {
 	if err := th.Atomic(stm.Regular, body); err != nil {
 		t.Fatal(err)
 	}
-	wantA, wantB := 0, 0
-	for k := 0; k < 32; k += 2 {
+	var wantA, wantB int64
+	for k := int64(0); k < 32; k += 2 {
 		wantA += k * 10
 		wantB += (k + 1) * 10
 	}

@@ -85,8 +85,8 @@ type opFrame struct {
 	// scratch keeping the predecessor array off the heap.
 	m      *SkipListMap
 	mKey   int
-	mVal   any
-	mRet   any
+	mVal   int64
+	mRet   int64
 	mOK    bool
 	mPreds [maxLevel]*mnode
 
@@ -101,7 +101,8 @@ type opFrame struct {
 	cFrom, cTo   Set
 	cMap         *SkipListMap
 	cQFrom, cQTo *Queue
-	cA, cB, cAmt int
+	cA, cB       int
+	cAmt         int64
 	cRet         any
 	cOK          bool
 
@@ -156,20 +157,12 @@ func (f *opFrame) bindComposed() {
 	}
 	f.compFns[compTransfer] = func(stm.Tx) error {
 		f.cOK = false
-		from, ok := f.cMap.Get(f.th, f.cA)
+		fromBal, ok := f.cMap.Get(f.th, f.cA)
+		if !ok || fromBal < f.cAmt {
+			return nil
+		}
+		toBal, ok := f.cMap.Get(f.th, f.cB)
 		if !ok {
-			return nil
-		}
-		fromBal, isInt := from.(int)
-		if !isInt || fromBal < f.cAmt {
-			return nil
-		}
-		to, ok := f.cMap.Get(f.th, f.cB)
-		if !ok {
-			return nil
-		}
-		toBal, isInt := to.(int)
-		if !isInt {
 			return nil
 		}
 		f.cMap.Put(f.th, f.cA, fromBal-f.cAmt)
@@ -209,14 +202,13 @@ func (f *opFrame) skipOp(code opCode, s *SkipListSet, key int) bool {
 }
 
 // mapOp runs one elementary operation against a skip list map. val is the
-// Put argument (ignored by the other codes); the result value/flag are
-// returned and cleared from the frame so user values are not retained.
-func (f *opFrame) mapOp(code mapCode, m *SkipListMap, key int, val any) (any, bool) {
+// Put argument (ignored by the other codes).
+//
+//compose:noalloc
+func (f *opFrame) mapOp(code mapCode, m *SkipListMap, key int, val int64) (int64, bool) {
 	f.m, f.mKey, f.mVal = m, key, val
 	_ = f.th.Atomic(OpKind(f.th), f.mapFns[code])
-	ret, ok := f.mRet, f.mOK
-	f.mVal, f.mRet = nil, nil
-	return ret, ok
+	return f.mRet, f.mOK
 }
 
 // queueOp runs one elementary operation against a queue. val is the

@@ -20,7 +20,7 @@ func TestTowerHeightsAgainstModel(t *testing.T) {
 			th := stm.NewThread(mk())
 			rng := rand.New(rand.NewPCG(24, 0))
 			m, s := eec.NewSkipListMap(), eec.NewSkipListSet()
-			model := map[int]any{}
+			model := map[int]int64{}
 
 			check := func(step string) {
 				t.Helper()
@@ -30,7 +30,7 @@ func TestTowerHeightsAgainstModel(t *testing.T) {
 				}
 				slices.Sort(want)
 				var got []int
-				m.Range(th, func(k int, v any) bool {
+				m.Range(th, func(k int, v int64) bool {
 					if v != model[k] {
 						t.Fatalf("%s: Range yields %d=%v, model has %v", step, k, v, model[k])
 					}
@@ -50,13 +50,13 @@ func TestTowerHeightsAgainstModel(t *testing.T) {
 			keys := rng.Perm(eec.MaxLevel)
 			for h := 1; h <= eec.MaxLevel; h++ {
 				k := keys[h-1]
-				if _, had := eec.PutHeight(m, th, k, h, k*10); had {
+				if _, had := eec.PutHeight(m, th, k, h, int64(k)*-10); had {
 					t.Fatalf("fresh key %d reported present", k)
 				}
 				if !eec.AddHeight(s, th, k, h) {
 					t.Fatalf("fresh key %d not added to the set", k)
 				}
-				model[k] = k * 10
+				model[k] = int64(k) * -10
 			}
 			check("after one insert per height")
 
@@ -66,14 +66,15 @@ func TestTowerHeightsAgainstModel(t *testing.T) {
 				_, inModel := model[k]
 				switch rng.IntN(4) {
 				case 0: // insert or overwrite; a present key keeps its old tower
-					prev, had := eec.PutHeight(m, th, k, h, i)
+					v := randValue(rng)
+					prev, had := eec.PutHeight(m, th, k, h, v)
 					if had != inModel || prev != model[k] {
 						t.Fatalf("op %d: Put(%d) = %v,%v, model %v,%v", i, k, prev, had, model[k], inModel)
 					}
 					if added := eec.AddHeight(s, th, k, h); added == inModel {
 						t.Fatalf("op %d: Add(%d) = %v, model has it: %v", i, k, added, inModel)
 					}
-					model[k] = i
+					model[k] = v
 				case 1:
 					prev, had := m.Remove(th, k)
 					if had != inModel || prev != model[k] {
@@ -121,7 +122,7 @@ func TestTowerHeightsConcurrent(t *testing.T) {
 					defer wg.Done()
 					th := stm.NewThread(tm)
 					rng := rand.New(rand.NewPCG(24, uint64(w)))
-					model := map[int]any{}
+					model := map[int]int64{}
 					for i := 0; i < rounds; i++ {
 						k, h := rng.IntN(perWorker)*workers+w, heights[rng.IntN(len(heights))]
 						if _, in := model[k]; in && rng.IntN(2) == 0 {
@@ -129,9 +130,10 @@ func TestTowerHeightsConcurrent(t *testing.T) {
 							s.Remove(th, k)
 							delete(model, k)
 						} else {
-							eec.PutHeight(m, th, k, h, i)
+							v := -int64(i) << 40 // wide and negative
+							eec.PutHeight(m, th, k, h, v)
 							eec.AddHeight(s, th, k, h)
-							model[k] = i
+							model[k] = v
 						}
 					}
 					for j := 0; j < perWorker; j++ {

@@ -528,9 +528,7 @@ func (w *loadWorker) batch(withVals bool) {
 
 // step draws Pipeline requests from the mix — the worker's one mix
 // dispatcher — and issues them as one burst, one round trip; it returns
-// how many requests completed. Client.Pipeline stops reading at the first
-// error response, so only a depth-1 burst is still in sync afterwards:
-// there retry exhaustion is tolerated, deeper bursts fail the worker.
+// how many requests completed.
 func (w *loadWorker) step() (int, error) {
 	for i := range w.reqs {
 		q := &w.reqs[i]
@@ -563,7 +561,7 @@ func (w *loadWorker) step() (int, error) {
 			q.Op, q.Key, q.To, q.Val = wire.OpCompareAndMove, w.key(), w.key(), w.val()
 		}
 	}
-	if err := w.cl.Pipeline(w.reqs, w.resps); err != nil && (len(w.reqs) > 1 || ignoreExhausted(err) != nil) {
+	if err := w.cl.Pipeline(w.reqs, w.resps); ignoreExhausted(err) != nil {
 		return 0, err
 	}
 	return len(w.reqs), nil
@@ -571,7 +569,11 @@ func (w *loadWorker) step() (int, error) {
 
 // ignoreExhausted tolerates ErrRetryExhausted on composed requests:
 // bounded-retry servers may give up one operation under contention, and
-// the closed loop just moves on.
+// the closed loop just moves on, at any pipeline depth (Client.Pipeline
+// drains the whole burst). Pipeline reports only the first failed slot,
+// but the other failures a well-formed burst can meet (durability,
+// shutting down) are sticky server states: one hidden behind an exhausted
+// slot fails the next burst.
 func ignoreExhausted(err error) error {
 	if pe, ok := wire.IsProtocolError(err); ok && pe.Code == wire.ErrRetryExhausted {
 		return nil

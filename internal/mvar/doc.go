@@ -61,6 +61,11 @@
 //	AnyVar  any value, boxed into the pointer cell (one allocation per
 //	        write) — the compatibility variable for arbitrary payloads
 //
+// AnyVar is kept for the surfaces whose payloads really are arbitrary:
+// the public facade's Var, the engine conformance suite (internal/stmtest)
+// and eec.Queue's items. Nothing on the serving path uses it — the store's
+// int64 values live in the IntVar of each skip-list map node.
+//
 // Writers mutate the cells only while holding the write lock, and readers
 // use the seqlock-style ReadConsistent (sample meta, load cells, re-sample
 // meta), so a consistent read never observes a torn (pointer, bits) pair

@@ -276,7 +276,8 @@ func (v *IntVar) Load() int64 { return IntValue(v.w.LoadRaw()) }
 
 // AnyVar is a transactional variable holding an arbitrary value. Writes
 // box the value (one allocation) so the current committed value can be
-// installed with a single pointer store; prefer Var[T]/Flag on hot paths.
+// installed with a single pointer store; prefer Var[T]/Flag/IntVar on hot
+// paths (see the package comment for who still uses AnyVar).
 // The zero value is an unlocked variable at version 0 holding nil.
 type AnyVar struct{ w Word }
 

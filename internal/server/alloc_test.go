@@ -1,8 +1,8 @@
 // Allocation pins for the full serving path: one request over a real
 // loopback socket — client encode, frame write, server read, decode,
 // transaction, response encode, client decode — allocates nothing in the
-// steady state beyond what the stored values themselves require (the
-// AnyVar box of a write). Client and server run in one process here, so
+// steady state, writes included: store values live unboxed in the shard
+// maps' value words. Client and server run in one process here, so
 // AllocsPerRun sees BOTH sides: these are end-to-end pins, the
 // network-layer extension of the store conformance tests.
 package server
@@ -14,6 +14,55 @@ import (
 	"oestm/internal/stm"
 )
 
+// allocCase is one pinned round trip: op must allocate exactly want
+// times per call once warm.
+type allocCase struct {
+	name string
+	want float64
+	op   func() error
+}
+
+// pinAllocs warms every case once (buffers, frames, the WAL batch, the
+// batch executor's task pool), then checks its steady-state count.
+func pinAllocs(t *testing.T, mode string, cases []allocCase) {
+	t.Helper()
+	for _, tc := range cases {
+		if err := tc.op(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if err := tc.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%s: %v allocs per round trip%s, want %v", tc.name, got, mode, tc.want)
+		}
+	}
+}
+
+// requestCases is the request surface every execution pins, over the
+// preloaded keys. The overwrites store values on both sides of [0, 255]
+// and of zero: an interface-boxed value cell would allocate once for the
+// box and once more for a value the runtime cannot intern, and only the
+// wide and negative values expose the second.
+func requestCases(c *Client, keys []int64) []allocCase {
+	wide := []int64{1 << 40, -5, -1 << 40, 7}
+	return []allocCase{
+		{"ping", 0, func() error { return c.Ping() }},
+		{"get-hit", 0, func() error { _, _, err := c.Get(1); return err }},
+		{"get-miss", 0, func() error { _, _, err := c.Get(999); return err }},
+		{"put-overwrite", 0, func() error { _, err := c.Put(1, 99); return err }},
+		{"put-overwrite-wide", 0, func() error { _, err := c.Put(1, 1<<40); return err }},
+		{"put-overwrite-negative", 0, func() error { _, err := c.Put(1, -5); return err }},
+		{"remove-miss", 0, func() error { _, _, err := c.Remove(999); return err }},
+		{"cam-refused", 0, func() error { _, err := c.CompareAndMove(1, 2, 12345); return err }},
+		{"mget", 0, func() error { _, _, err := c.MGet(keys); return err }},
+		{"mput-overwrite", 0, func() error { return c.MPut(keys, []int64{10, 20, 30, 40}) }},
+		{"mput-overwrite-wide", 0, func() error { return c.MPut(keys, wide) }},
+	}
+}
+
 func TestEndToEndAllocs(t *testing.T) {
 	s := startServer(t, Config{Engine: "oestm", NewTM: func() stm.TM { return core.New() }, Shards: 8})
 	c := dial(t, s)
@@ -21,39 +70,13 @@ func TestEndToEndAllocs(t *testing.T) {
 	if err := c.MPut(keys, []int64{10, 20, 30, 40}); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		want float64
-		op   func() error
-	}{
-		{"ping", 0, func() error { return c.Ping() }},
-		{"get-hit", 0, func() error { _, _, err := c.Get(1); return err }},
-		{"get-miss", 0, func() error { _, _, err := c.Get(999); return err }},
-		{"put-overwrite", 1, func() error { _, err := c.Put(1, 99); return err }}, // the AnyVar value box
-		{"remove-miss", 0, func() error { _, _, err := c.Remove(999); return err }},
-		{"cam-refused", 0, func() error { _, err := c.CompareAndMove(1, 2, 12345); return err }},
-		{"mget", 0, func() error { _, _, err := c.MGet(keys); return err }},
-	}
-	for _, tc := range cases {
-		if err := tc.op(); err != nil { // warm every buffer and frame
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		got := testing.AllocsPerRun(200, func() {
-			if err := tc.op(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != tc.want {
-			t.Errorf("%s: %v allocs per round trip, want %v", tc.name, got, tc.want)
-		}
-	}
+	pinAllocs(t, "", requestCases(c, keys))
 }
 
 // TestEndToEndAllocsWAL re-pins the same budgets with durability on:
 // the WAL path — commit-lock handoff, record append into the batch
 // buffer, group-commit flush — must add zero allocations once the
-// buffers have grown. The only per-request costs stay the value boxes
-// of the writes themselves.
+// buffers have grown.
 func TestEndToEndAllocsWAL(t *testing.T) {
 	s := startServer(t, Config{
 		Engine: "oestm", NewTM: func() stm.TM { return core.New() },
@@ -61,46 +84,19 @@ func TestEndToEndAllocsWAL(t *testing.T) {
 	})
 	c := dial(t, s)
 	keys := []int64{1, 2, 3, 4}
-	vals := []int64{10, 20, 30, 40}
-	if err := c.MPut(keys, vals); err != nil {
+	if err := c.MPut(keys, []int64{10, 20, 30, 40}); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		want float64
-		op   func() error
-	}{
-		{"ping", 0, func() error { return c.Ping() }},
-		{"get-hit", 0, func() error { _, _, err := c.Get(1); return err }},
-		{"put-overwrite", 1, func() error { _, err := c.Put(1, 99); return err }}, // the AnyVar value box
-		{"remove-miss", 0, func() error { _, _, err := c.Remove(999); return err }},
-		{"cam-refused", 0, func() error { _, err := c.CompareAndMove(1, 2, 12345); return err }},
-		{"mget", 0, func() error { _, _, err := c.MGet(keys); return err }},
-		{"mput-overwrite", 4, func() error { return c.MPut(keys, vals) }}, // one box per stored value
-	}
-	for _, tc := range cases {
-		if err := tc.op(); err != nil { // warm buffers, frames and the WAL batch
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		got := testing.AllocsPerRun(200, func() {
-			if err := tc.op(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != tc.want {
-			t.Errorf("%s: %v allocs per round trip with WAL, want %v", tc.name, got, tc.want)
-		}
-	}
+	pinAllocs(t, " with WAL", requestCases(c, keys))
 }
 
 // TestEndToEndAllocsBatch re-pins the budgets under the speculative
 // batch executor. Unpipelined clients send one-request bursts, which
 // the executor runs on its solo fast path — no multi-version map, no
 // worker handoff, a reused View on the dispatcher slot — so batch mode
-// must hold the conn-mode budgets exactly: the only per-request
-// allocation is the AnyVar box of a stored value. A regression here
-// means the fast path fell off (every unpipelined client would pay the
-// full speculation machinery per request).
+// must hold the conn-mode budgets exactly. A regression here means the
+// fast path fell off (every unpipelined client would pay the full
+// speculation machinery per request).
 func TestEndToEndAllocsBatch(t *testing.T) {
 	s := startServer(t, Config{
 		Engine: "oestm", NewTM: func() stm.TM { return core.New() },
@@ -111,30 +107,5 @@ func TestEndToEndAllocsBatch(t *testing.T) {
 	if err := c.MPut(keys, []int64{10, 20, 30, 40}); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		want float64
-		op   func() error
-	}{
-		{"ping", 0, func() error { return c.Ping() }},
-		{"get-hit", 0, func() error { _, _, err := c.Get(1); return err }},
-		{"get-miss", 0, func() error { _, _, err := c.Get(999); return err }},
-		{"put-overwrite", 1, func() error { _, err := c.Put(1, 99); return err }}, // the AnyVar value box
-		{"remove-miss", 0, func() error { _, _, err := c.Remove(999); return err }},
-		{"cam-refused", 0, func() error { _, err := c.CompareAndMove(1, 2, 12345); return err }},
-		{"mget", 0, func() error { _, _, err := c.MGet(keys); return err }},
-	}
-	for _, tc := range cases {
-		if err := tc.op(); err != nil { // warm buffers, frames and the task pool
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		got := testing.AllocsPerRun(200, func() {
-			if err := tc.op(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != tc.want {
-			t.Errorf("%s: %v allocs per round trip in batch mode, want %v", tc.name, got, tc.want)
-		}
-	}
+	pinAllocs(t, " in batch mode", requestCases(c, keys))
 }

@@ -11,9 +11,8 @@ import (
 // Client is a connection to a compose-server: a thin, reusable-buffer
 // wrapper over the wire protocol. A Client is owned by one goroutine (the
 // closed-loop load generator runs one per worker); methods issue one
-// request and block for its response. The protocol itself supports
-// pipelining — see the raw-frame tests — but the closed-loop client has
-// no use for it.
+// request and block for its response, except Pipeline, which issues a
+// whole burst and blocks for all of its responses.
 //
 // Slice results (MGet) point into the client's reusable buffers and are
 // valid until the next call.
@@ -83,35 +82,47 @@ func (c *Client) roundTrip() error {
 // value's slices are reused across calls). A batch-mode server receives
 // the burst whole and executes it as one speculative batch; a conn-mode
 // server serves it sequentially — either way responses come back in
-// request order, so the two modes are indistinguishable here. Returns
-// the first transport or decode error.
+// request order, so the two modes are indistinguishable here.
+//
+// The burst is encoded whole before anything is written, so a request
+// that cannot be framed fails the call with nothing sent; and every
+// response is read before Pipeline returns, so the connection stays in
+// sync for the next call whatever the outcome. A response that decodes
+// to an error (a typed StatusErr, or a malformed body) is that request's
+// outcome: it stays in its slot (Status, Err, Msg) and the rest of the
+// burst is still decoded; the first such error is returned once the
+// burst is consumed. Transport and framing errors return at once — the
+// stream is unusable after them anyway.
 func (c *Client) Pipeline(reqs []wire.Request, resps []wire.Response) error {
 	if len(reqs) != len(resps) {
 		panic("server: Pipeline reqs/resps length mismatch")
 	}
+	c.out = c.out[:0]
 	for i := range reqs {
-		c.out = wire.AppendRequest(wire.BeginFrame(c.out[:0]), &reqs[i])
-		if err := wire.FinishFrame(c.out); err != nil {
+		start := len(c.out)
+		c.out = wire.AppendRequest(wire.BeginFrame(c.out), &reqs[i])
+		if err := wire.FinishFrame(c.out[start:]); err != nil {
 			return err
 		}
-		if _, err := c.bw.Write(c.out); err != nil {
-			return err
-		}
+	}
+	if _, err := c.bw.Write(c.out); err != nil {
+		return err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
+	var first error
 	for i := range reqs {
 		body, err := wire.ReadFrame(c.br, c.in[:0], wire.MaxBody)
 		c.in = body[:cap(body)]
 		if err != nil {
 			return err
 		}
-		if err := resps[i].Decode(reqs[i].Op, body); err != nil {
-			return err
+		if err := resps[i].Decode(reqs[i].Op, body); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // Get returns the value under key and whether it is present.

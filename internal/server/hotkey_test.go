@@ -235,48 +235,38 @@ func TestBatchSingleHotKeyNoValidationFails(t *testing.T) {
 }
 
 // TestEndToEndAllocsAdd pins the allocation budgets of the add path
-// end-to-end, per execution: the boosted overlay mutates an int64 in
-// place — a whole client round trip allocates NOTHING — while the RMW
-// control and the batch commit pay exactly the AnyVar box of the value
-// they store.
+// end-to-end, per execution: a whole client round trip allocates
+// NOTHING, whether the boosted overlay mutates an int64 in place or the
+// RMW control and the batch commit store the sum into the key's value
+// word. The wide deltas push the stored values far outside [0, 255] in
+// both directions.
 func TestEndToEndAllocsAdd(t *testing.T) {
 	newTM := func() stm.TM { return core.New() }
 	madd := []int64{1, 2, 3, 4}
 	deltas := []int64{1, 1, 1, 1}
-
-	run := func(t *testing.T, s *Server, name string, want float64, op func() error) {
-		t.Helper()
-		if err := op(); err != nil { // warm buffers, promotion, staging
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := testing.AllocsPerRun(200, func() {
-			if err := op(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != want {
-			t.Errorf("%s: %v allocs per round trip, want %v", name, got, want)
+	wide := []int64{1 << 40, -1 << 40, -5, 3 << 50}
+	adds := func(c *Client, mode string) []allocCase {
+		return []allocCase{
+			{"add-" + mode, 0, func() error { return c.Add(7, 1) }},
+			{"add-" + mode + "-wide", 0, func() error { return c.Add(8, -1<<40) }},
+			{"madd-" + mode, 0, func() error { return c.MAdd(madd, deltas) }},
+			{"madd-" + mode + "-wide", 0, func() error { return c.MAdd(madd, wide) }},
 		}
 	}
 
 	t.Run("conn-boosted", func(t *testing.T) {
 		s := startServer(t, Config{Engine: "oestm", NewTM: newTM, Shards: 8, Boost: store.BoostOn})
 		c := dial(t, s)
-		run(t, s, "add-hot", 0, func() error { return c.Add(7, 1) })
-		run(t, s, "get-hot", 0, func() error { _, _, err := c.Get(7); return err })
-		run(t, s, "madd-hot", 0, func() error { return c.MAdd(madd, deltas) })
-		run(t, s, "mget-hot", 0, func() error { _, _, err := c.MGet(madd); return err })
+		pinAllocs(t, "", append(adds(c, "hot"),
+			allocCase{"get-hot", 0, func() error { _, _, err := c.Get(7); return err }},
+			allocCase{"mget-hot", 0, func() error { _, _, err := c.MGet(madd); return err }}))
 	})
 	t.Run("conn-rmw", func(t *testing.T) {
 		s := startServer(t, Config{Engine: "oestm", NewTM: newTM, Shards: 8, Boost: store.BoostOff})
-		c := dial(t, s)
-		run(t, s, "add-rmw", 1, func() error { return c.Add(7, 1) }) // the AnyVar value box
-		run(t, s, "madd-rmw", 4, func() error { return c.MAdd(madd, deltas) })
+		pinAllocs(t, "", adds(dial(t, s), "rmw"))
 	})
 	t.Run("batch-solo", func(t *testing.T) {
 		s := startServer(t, Config{Engine: "oestm", NewTM: newTM, Shards: 8, Exec: ExecBatch, BatchWorkers: 4})
-		c := dial(t, s)
-		run(t, s, "add-solo", 1, func() error { return c.Add(7, 1) }) // the AnyVar value box
-		run(t, s, "madd-solo", 4, func() error { return c.MAdd(madd, deltas) })
+		pinAllocs(t, "", adds(dial(t, s), "solo"))
 	})
 }

@@ -35,8 +35,7 @@ import (
 	"oestm/internal/stm"
 )
 
-// tokenVal is the value every live token carries (small, so the checker
-// workload itself stays box-free).
+// tokenVal is the value every live token carries.
 const tokenVal = int64(7)
 
 // crossShardViolations drives workers against a fresh 8-shard store for

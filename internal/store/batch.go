@@ -49,12 +49,7 @@ type BaseReader struct {
 //
 //compose:noalloc
 func (b *BaseReader) ReadBase(key int64) (int64, bool) {
-	v, ok := b.st.shard(key).Get(b.th, int(key))
-	if !ok {
-		return 0, false
-	}
-	n, _ := v.(int64)
-	return n, true
+	return b.st.shard(key).Get(b.th, int(key))
 }
 
 // Applier commits validated specexec batches into the store and its

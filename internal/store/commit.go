@@ -70,20 +70,17 @@ func (s *Store) unlockShards(shards []int) {
 }
 
 // apply applies one effect to its key's shard map on th and returns the
-// key's previous value, still boxed, and presence: only Remove reports the
-// value, and unboxing it for every put would touch the displaced box's
-// cold cache line for nothing. A delta is a get+put pair (creating the key
-// from zero): outside single-threaded recovery the caller wraps it in an
-// enclosing transaction.
-func (s *Store) apply(th *stm.Thread, ef *wal.Effect) (old any, ok bool) {
+// key's previous value and presence. A delta is a get+put pair (creating
+// the key from zero): outside single-threaded recovery the caller wraps it
+// in an enclosing transaction.
+func (s *Store) apply(th *stm.Thread, ef *wal.Effect) (old int64, ok bool) {
 	m := s.shard(ef.Key)
 	switch {
 	case ef.Remove:
 		return m.Remove(th, int(ef.Key))
 	case ef.Delta:
 		old, ok = m.Get(th, int(ef.Key))
-		cur, _ := old.(int64)
-		m.Put(th, int(ef.Key), cur+ef.Val)
+		m.Put(th, int(ef.Key), old+ef.Val)
 		return old, ok
 	}
 	return m.Put(th, int(ef.Key), ef.Val)
@@ -336,12 +333,9 @@ func (f *Frame) mutate() error {
 	if f.body == nil {
 		// Elementary: the effect is one individually atomic eec operation.
 		// A remove that found nothing mutated nothing and logs nothing.
-		old, hit := f.st.apply(f.th, &f.effects[0])
-		f.hit = hit
-		if f.effects[0].Remove {
-			if f.prev, _ = old.(int64); !hit {
-				f.effects = f.effects[:0]
-			}
+		f.prev, f.hit = f.st.apply(f.th, &f.effects[0])
+		if f.effects[0].Remove && !f.hit {
+			f.effects = f.effects[:0]
 		}
 		return nil
 	}

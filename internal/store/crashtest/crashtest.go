@@ -34,7 +34,7 @@ import (
 )
 
 // TokenVal is the value every live token carries, mirroring the store
-// checkers (small, so the workload stays box-free).
+// checkers.
 const TokenVal = int64(7)
 
 // Child environment: ChildMain reads these, spawn (in the tests) sets

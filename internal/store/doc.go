@@ -5,6 +5,12 @@
 // CompareAndMove, Add, MAdd) that each execute as one relaxed
 // transaction, whatever mix of shards they touch.
 //
+// Values are int64 end to end: the wire carries them, the log records
+// them, and the shard maps hold them directly in each node's value word
+// (an mvar.IntVar), so no store operation boxes a value — an overwrite,
+// a delta or a replayed record allocates nothing, and a read stops at the
+// node it found.
+//
 // The store itself is engine-agnostic, like every e.e.c structure: shards
 // are built from mvar words, and the engine is carried by the stm.Thread
 // driving an operation — one store instance can serve OE-STM and the

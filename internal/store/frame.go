@@ -15,13 +15,13 @@ import (
 // only be used from the one goroutine that owns its thread, one
 // operation at a time.
 //
-// Values travel as int64. Storing a value costs the one box the
-// underlying AnyVar write requires (two for values outside [0, 255],
-// which also box at the interface conversion); everything else on the
-// hit paths is allocation-free (pinned by the conformance tests here and
-// end-to-end in internal/server). Keys use the platform int inside the
-// shards; like the rest of the repository's word-level budgets this
-// assumes 64-bit ints.
+// Values travel as int64 and live as int64 in the shard maps' value
+// words, so every operation on an existing key — reads, overwrites,
+// removes, deltas, whatever the value — is allocation-free (pinned by the
+// conformance tests here and end-to-end in internal/server); only an
+// insert allocates, the skip-list node it links in. Keys use the platform
+// int inside the shards; like the rest of the repository's word-level
+// budgets this assumes 64-bit ints.
 type Frame struct {
 	st  *Store
 	th  *stm.Thread
@@ -50,8 +50,8 @@ type Frame struct {
 	killed  int  // leading hcs an absolute operation folded and killed
 	expect  int64
 	// Results: a read's outputs (the caller's buffers), and what the last
-	// elementary effect found: the key's presence, and for a remove the
-	// value it displaced.
+	// elementary effect found: the key's presence and the value it
+	// displaced.
 	vals []int64
 	oks  []bool
 	prev int64
@@ -172,6 +172,8 @@ func (f *Frame) WALErr() error { return f.walErr }
 // one instant, under the abstract lock, for a promoted counter (which
 // logically exists once a committed delta created it — even while later
 // deltas cancel the sum back to zero).
+//
+//compose:noalloc
 func (f *Frame) Get(key int64) (v int64, ok bool) {
 	a0 := f.th.Stats.Aborts
 	if f.st.hotOf(key) == nil {
@@ -188,10 +190,10 @@ func (f *Frame) Get(key int64) (v int64, ok bool) {
 
 // getRaw reads key's base entry — the bare single-shard transaction,
 // blind to hot-key overlays.
+//
+//compose:noalloc
 func (f *Frame) getRaw(key int64) (int64, bool) {
-	v, ok := f.st.shard(key).Get(f.th, int(key))
-	n, _ := v.(int64)
-	return n, ok
+	return f.st.shard(key).Get(f.th, int(key))
 }
 
 // MGet fills vals[i], oks[i] with the value and presence of keys[i] for
@@ -268,11 +270,11 @@ func (f *Frame) fusedReadBody(tx *boost.Tx) error {
 }
 
 // readBody is the transactional body of a read.
+//
+//compose:noalloc
 func (f *Frame) readBody(tx stm.Tx) {
 	for i, k := range f.keys {
-		v, ok := f.st.shard(k).GetTx(tx, int(k))
-		n, _ := v.(int64)
-		f.vals[i], f.oks[i] = n, ok
+		f.vals[i], f.oks[i] = f.st.shard(k).GetTx(tx, int(k))
 	}
 }
 

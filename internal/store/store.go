@@ -222,13 +222,12 @@ func (s *Store) dumpShard(th *stm.Thread, i int) []wal.Entry {
 		h.mu.RUnlock()
 	}
 	var out []wal.Entry
-	s.shards[i].Range(th, func(key int, val any) bool {
-		n, _ := val.(int64)
+	s.shards[i].Range(th, func(key int, val int64) bool {
 		if d, ok := overlays[int64(key)]; ok {
-			n += d
+			val += d
 			delete(overlays, int64(key))
 		}
-		out = append(out, wal.Entry{Key: int64(key), Val: n})
+		out = append(out, wal.Entry{Key: int64(key), Val: val})
 		return true
 	})
 	// Promoted counters with no base entry yet: their overlay is the

@@ -170,10 +170,11 @@ func TestStoreConformance(t *testing.T) {
 // path on every engine: once frames are warm, hit/miss Gets, missed
 // Removes, refused CompareAndMoves, and whole MGet snapshots allocate
 // nothing — no per-transaction frames, no per-composition closures, no
-// nested-begin boxing (stm.FlatChildOn). An overwriting Put allocates
-// exactly the one value box the AnyVar store requires — value storage,
-// not frame traffic. (Inserting Puts and successful moves additionally
-// allocate the skip-list nodes they create.)
+// nested-begin boxing (stm.FlatChildOn) — and neither do overwriting
+// Puts, MPuts and Adds: values live unboxed in the shard maps' value
+// words, so no stored value allocates, however wide or negative.
+// (Inserting Puts and successful moves allocate the skip-list nodes they
+// create.)
 func TestStoreAllocsSteadyState(t *testing.T) {
 	for _, eng := range engines() {
 		t.Run(eng.name, func(t *testing.T) {
@@ -183,9 +184,13 @@ func TestStoreAllocsSteadyState(t *testing.T) {
 			keys := make([]int64, 16)
 			vals := make([]int64, 16)
 			oks := make([]bool, 16)
+			wide := make([]int64, 8)
 			for i := range keys {
 				keys[i] = int64(i * 37)
 				f.Put(keys[i], int64(i%200))
+			}
+			for i := range wide {
+				wide[i] = int64(i-4) << 40
 			}
 			cases := []struct {
 				name string
@@ -194,11 +199,15 @@ func TestStoreAllocsSteadyState(t *testing.T) {
 			}{
 				{"get-hit", 0, func() { f.Get(keys[3]) }},
 				{"get-miss", 0, func() { f.Get(777777) }},
-				{"put-overwrite", 1, func() { f.Put(keys[5], 99) }}, // the AnyVar value box
+				{"put-overwrite", 0, func() { f.Put(keys[5], 99) }},
+				{"put-overwrite-wide", 0, func() { f.Put(keys[5], 1<<40) }},
+				{"put-overwrite-negative", 0, func() { f.Put(keys[5], -5) }},
 				{"remove-miss", 0, func() { f.Remove(777777) }},
 				{"cam-wrong-expect", 0, func() { f.CompareAndMove(keys[2], 777777, 251) }},
 				{"cam-occupied", 0, func() { f.CompareAndMove(keys[2], keys[4], int64(2%200)) }},
 				{"mget", 0, func() { f.MGet(keys, vals, oks) }},
+				{"mput-overwrite-wide", 0, func() { f.MPut(keys[:8], wide) }},
+				{"add-wide", 0, func() { f.Add(keys[6], -1<<40) }},
 			}
 			for _, c := range cases {
 				c.op() // warm pooled transaction and operation frames

@@ -346,7 +346,7 @@ func fullPairs(sorted []int) int {
 type bankScenario struct {
 	cfg        ScenarioConfig
 	m          *eec.SkipListMap
-	expected   int
+	expected   int64
 	violations atomic.Uint64
 }
 
@@ -354,7 +354,7 @@ func newBankScenario(cfg ScenarioConfig) *bankScenario {
 	return &bankScenario{
 		cfg:      cfg,
 		m:        eec.NewSkipListMap(),
-		expected: cfg.Accounts * cfg.InitialBalance,
+		expected: int64(cfg.Accounts * cfg.InitialBalance),
 	}
 }
 
@@ -364,7 +364,7 @@ func (s *bankScenario) Violations() uint64 { return s.violations.Load() }
 
 func (s *bankScenario) Fill(th *stm.Thread) {
 	for i := 0; i < s.cfg.Accounts; i++ {
-		s.m.Put(th, i, s.cfg.InitialBalance)
+		s.m.Put(th, i, int64(s.cfg.InitialBalance))
 	}
 }
 
@@ -395,17 +395,15 @@ func (w *bankWorker) Step() {
 	if to >= from {
 		to++
 	}
-	amount := 1 + w.rng.IntN(s.cfg.MaxTransfer)
+	amount := int64(1 + w.rng.IntN(s.cfg.MaxTransfer))
 	if s.cfg.Unsound {
 		// Withdraw and deposit in separate transactions: the amount is in
 		// neither account between them, and two withdrawals racing on one
 		// account lose an update for good.
-		bal, ok := s.m.Get(w.th, from)
-		if b, isInt := bal.(int); ok && isInt && b >= amount {
-			s.m.Put(w.th, from, b-amount)
+		if bal, ok := s.m.Get(w.th, from); ok && bal >= amount {
+			s.m.Put(w.th, from, bal-amount)
 			toBal, _ := s.m.Get(w.th, to)
-			tb, _ := toBal.(int)
-			s.m.Put(w.th, to, tb+amount)
+			s.m.Put(w.th, to, toBal+amount)
 		}
 		return
 	}

@@ -126,7 +126,7 @@ func TestBankCheckerDetectsLostMoney(t *testing.T) {
 	th := stm.NewThread(tm)
 	scn.Fill(th)
 	// A torn transfer: withdrawn but not yet deposited.
-	bs.m.Put(th, 0, cfg.InitialBalance-1)
+	bs.m.Put(th, 0, int64(cfg.InitialBalance-1))
 	scn.Check(th)
 	if scn.Violations() == 0 {
 		t.Fatal("bank checker missed a wrong total balance")

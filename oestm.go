@@ -208,7 +208,8 @@ func NewHashSetForLoad(expectedElems int) *eec.HashSet {
 }
 
 // NewSkipListMap returns the ordered transactional map of e.e.c (the
-// composable counterpart of ConcurrentSkipListMap).
+// composable counterpart of ConcurrentSkipListMap), from int keys to
+// int64 values held unboxed in the nodes (overwrites allocate nothing).
 func NewSkipListMap() *eec.SkipListMap { return eec.NewSkipListMap() }
 
 // NewQueue returns the transactional FIFO queue of e.e.c (the composable

@@ -91,8 +91,11 @@ func TestFacadeMapAndQueue(t *testing.T) {
 	tm := oestm.NewOESTM()
 	th := oestm.NewThread(tm)
 	m := oestm.NewSkipListMap()
-	if !m.PutIfAbsent(th, 1, "v") || m.Size(th) != 1 {
+	if !m.PutIfAbsent(th, 1, -1<<40) || m.Size(th) != 1 {
 		t.Fatal("facade map broken")
+	}
+	if v, ok := m.Get(th, 1); !ok || v != -1<<40 {
+		t.Fatalf("facade map Get = %d,%v, want %d,true", v, ok, int64(-1<<40))
 	}
 	q := oestm.NewQueue()
 	q.Enqueue(th, 7)
