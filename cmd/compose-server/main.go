@@ -105,6 +105,10 @@ func main() {
 	if rp := srv.Recovery(); rp != nil {
 		fmt.Println("compose-server:", rp.Summary())
 	}
+	// Catch SIGTERM before serving: a client may see the server ready and
+	// ask it to stop at once, and that stop must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "compose-server:", err)
 		os.Exit(1)
@@ -129,8 +133,6 @@ func main() {
 	fmt.Printf("compose-server: engine=%s cm=%s shards=%d exec=%s boost=%s listening on %s%s\n",
 		eng.Name, *cmName, *shards, *exec, boostMode, srv.Addr(), mode)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("compose-server: draining...")
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)

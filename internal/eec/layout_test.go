@@ -41,9 +41,11 @@ func gap(a unsafe.Pointer, aSize uintptr, b unsafe.Pointer) uintptr {
 
 // TestLayoutNodes pins the memory layout of the e.e.c nodes: the plain
 // sizes, and for the skip lists the shape each tower height is allocated
-// in — one heap object up to coTowerMax with the tower ending where the
-// node begins, two objects above. Padding must neither creep back into the
-// nodes nor a co-allocated shape silently fall back to two allocations.
+// in — one heap object of an exact size for heights 1 to coTowerMax, with
+// the tower ending where the node begins, two objects above. Padding must
+// neither creep back into the nodes (a removal mark is a bit in the links,
+// not a word of its own) nor a co-allocated shape silently fall back to
+// two allocations or a larger size class.
 func TestLayoutNodes(t *testing.T) {
 	if got := unsafe.Sizeof(lnode{}); got != 32 {
 		t.Errorf("Sizeof(lnode) = %d, want 32", got)
@@ -51,12 +53,15 @@ func TestLayoutNodes(t *testing.T) {
 	if got := unsafe.Sizeof(qnode{}); got != 40 {
 		t.Errorf("Sizeof(qnode) = %d, want 40", got)
 	}
-	if got := unsafe.Sizeof(snode{}); got != 56 {
-		t.Errorf("Sizeof(snode) = %d, want 56 (key, slice header, mark)", got)
+	if got := unsafe.Sizeof(snode{}); got != 32 {
+		t.Errorf("Sizeof(snode) = %d, want 32 (key, slice header)", got)
 	}
-	if got := unsafe.Sizeof(mnode{}); got != 80 {
-		t.Errorf("Sizeof(mnode) = %d, want 80 (key, slice header, value, mark)", got)
+	if got := unsafe.Sizeof(mnode{}); got != 56 {
+		t.Errorf("Sizeof(mnode) = %d, want 56 (key, slice header, value)", got)
 	}
+	// Heap bytes (size class included) of the one-object shapes, by height.
+	wantMBytes := [coTowerMax + 1]uint64{1: 80, 2: 112, 3: 128, 4: 160}
+	wantSBytes := [coTowerMax + 1]uint64{1: 64, 2: 80, 3: 112, 4: 128}
 
 	for h := 1; h <= maxLevel; h++ {
 		wantAllocs := 1.0
@@ -86,20 +91,19 @@ func TestLayoutNodes(t *testing.T) {
 		if d := gap(unsafe.Pointer(&sinkS.next[0]), sTower, unsafe.Pointer(&sinkS.key)); d != 0 {
 			t.Errorf("snode height %d: key is %d bytes past the tower's end, want 0", h, d)
 		}
-		if h > 2 {
-			continue
+		if cap(sinkM.next) != h || cap(sinkS.next) != h {
+			t.Errorf("height %d: co-allocated towers hold %d (map) / %d (set) links, want exactly %d", h, cap(sinkM.next), cap(sinkS.next), h)
+		}
+		if got := heapBytesPerRun(func() { sinkM = newMnode(1, h, 0) }); got != wantMBytes[h] {
+			t.Errorf("mnode height %d occupies %d heap bytes, want %d", h, got, wantMBytes[h])
+		}
+		if got := heapBytesPerRun(func() { sinkS = newSnode(1, h) }); got != wantSBytes[h] {
+			t.Errorf("snode height %d occupies %d heap bytes, want %d", h, got, wantSBytes[h])
 		}
 		// The two common shapes (3/4 of all nodes): the level-0 link is
-		// within a cache line of the key, and the whole object — tower,
-		// key, value, mark — is at most two lines.
-		if mTower >= cacheLine || sTower >= cacheLine {
+		// within a cache line of the key.
+		if h <= 2 && (mTower >= cacheLine || sTower >= cacheLine) {
 			t.Errorf("height %d: level-0 link is %d (map) / %d (set) bytes before key, want < %d", h, mTower, sTower, cacheLine)
-		}
-		if got := heapBytesPerRun(func() { sinkM = newMnode(1, h, 0) }); got > 2*cacheLine {
-			t.Errorf("mnode height %d occupies %d heap bytes, want ≤ %d", h, got, 2*cacheLine)
-		}
-		if got := heapBytesPerRun(func() { sinkS = newSnode(1, h) }); got > 2*cacheLine {
-			t.Errorf("snode height %d occupies %d heap bytes, want ≤ %d", h, got, 2*cacheLine)
 		}
 	}
 }

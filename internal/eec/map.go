@@ -22,48 +22,55 @@ type SkipListMap struct {
 	tail *mnode
 }
 
-// mnode is a skiplist map node: immutable key, tower links, transactional
-// value and removal mark, all typed words (no boxing).
+// mnode is a skiplist map node: immutable key, tower links and
+// transactional value, all typed words (no boxing). As in snode, each link
+// carries the node's removal mark beside the successor pointer.
 //
 // Field order is the traversal's access order: a hop reads key and the
-// next header (and through it one link), only a hit goes on to val and
-// marked. For towers of height ≤ 4 the links live in the same heap object,
-// immediately before the node (see newMnode), so a hop touches one object
-// instead of two.
+// next header (and through it one link), only a hit goes on to val. For
+// towers of height ≤ 4 the links live in the same heap object, immediately
+// before the node (see newMnode), so a hop touches one object instead of
+// two.
 type mnode struct {
-	key    int
-	next   []mvar.Var[mnode] // each holds *mnode; len is the tower height
-	val    mvar.IntVar       // holds int64
-	marked mvar.Flag         // holds bool
+	key  int
+	next []mvar.Var[mnode] // each holds *mnode and the node's mark; len is the tower height
+	val  mvar.IntVar       // holds int64
 }
 
-// newMnode allocates a node with a tower of the given height. Heights 1,
-// 2 and 3–4 (≈ 94 % of nodes at p = 1/2) get the tower co-allocated in
-// front of the node, so the top link ends where key begins; taller towers
-// are rare enough to take a separate allocation. n.next aliases the
-// co-allocated array: the slice's interior pointer keeps the whole object
-// alive, and nothing outside this constructor can tell the shapes apart.
+// newMnode allocates a node with a tower of the given height. Heights 1
+// to 4 (≈ 94 % of nodes at p = 1/2) each get their own shape, with the
+// tower co-allocated in front of the node, so the top link ends where key
+// begins; taller towers are rare enough to take a separate allocation.
+// n.next aliases the co-allocated array: the slice's interior pointer
+// keeps the whole object alive, and nothing outside this constructor can
+// tell the shapes apart.
 func newMnode(key, height int, val int64) *mnode {
 	var n *mnode
-	switch {
-	case height == 1:
+	switch height {
+	case 1:
 		x := new(struct {
 			t [1]mvar.Var[mnode]
 			mnode
 		})
 		n, x.next = &x.mnode, x.t[:]
-	case height == 2:
+	case 2:
 		x := new(struct {
 			t [2]mvar.Var[mnode]
 			mnode
 		})
 		n, x.next = &x.mnode, x.t[:]
-	case height <= coTowerMax:
+	case 3:
+		x := new(struct {
+			t [3]mvar.Var[mnode]
+			mnode
+		})
+		n, x.next = &x.mnode, x.t[:]
+	case coTowerMax:
 		x := new(struct {
 			t [coTowerMax]mvar.Var[mnode]
 			mnode
 		})
-		n, x.next = &x.mnode, x.t[:height]
+		n, x.next = &x.mnode, x.t[:]
 	default:
 		n = &mnode{next: make([]mvar.Var[mnode], height)}
 	}
@@ -120,9 +127,11 @@ func (m *SkipListMap) put(tx stm.Tx, f *opFrame) {
 	f.mRet, f.mOK = 0, false
 	key := f.mKey
 	m.find(tx, f)
-	target := stm.ReadPtr(tx, &f.mPreds[0].next[0])
+	target, predMarked := stm.ReadLink(tx, &f.mPreds[0].next[0])
 	if target.key == key {
-		if stm.ReadFlag(tx, &target.marked) {
+		// A hit reads target's mark from its level-0 link, then the value,
+		// then writes: the write promotes exactly those two reads.
+		if _, marked := stm.ReadLink(tx, &target.next[0]); marked {
 			stm.Conflict("skiplistmap: node concurrently removed")
 		}
 		f.mRet, f.mOK = stm.ReadInt(tx, &target.val), true
@@ -132,18 +141,18 @@ func (m *SkipListMap) put(tx stm.Tx, f *opFrame) {
 	if f.mPreds[0].key >= key || target.key < key {
 		stm.Conflict("skiplistmap: insertion window moved")
 	}
-	if stm.ReadFlag(tx, &f.mPreds[0].marked) {
+	if predMarked {
 		stm.Conflict("skiplistmap: predecessor removed")
 	}
 	n := newMnode(key, f.height, f.mVal)
 	succ := target
 	for l := 0; l < f.height; l++ {
 		if l > 0 {
-			succ = stm.ReadPtr(tx, &f.mPreds[l].next[l])
+			succ, predMarked = stm.ReadLink(tx, &f.mPreds[l].next[l])
 			if f.mPreds[l].key >= key || succ.key <= key {
 				stm.Conflict("skiplistmap: insertion window moved")
 			}
-			if stm.ReadFlag(tx, &f.mPreds[l].marked) {
+			if predMarked {
 				stm.Conflict("skiplistmap: predecessor removed")
 			}
 		}
@@ -153,37 +162,48 @@ func (m *SkipListMap) put(tx stm.Tx, f *opFrame) {
 }
 
 // remove is the transactional body of Remove.
+//
+// Its order is fixed: read target's level-0 link (the mark check), read
+// the value, then at once write that link marked. The elastic window is
+// two reads wide and a read of one's own write is not re-protected, so
+// any read between the value and the first write would push the value out
+// of the window. A concurrent Put could then commit in between, and the
+// removal would return — and a harvesting caller lose — a stale value.
+//
+//compose:noalloc
 func (m *SkipListMap) remove(tx stm.Tx, f *opFrame) {
 	f.mRet, f.mOK = 0, false
 	key := f.mKey
 	m.find(tx, f)
-	target := stm.ReadPtr(tx, &f.mPreds[0].next[0])
+	target, predMarked := stm.ReadLink(tx, &f.mPreds[0].next[0])
 	if target.key != key {
 		if target.key < key {
 			stm.Conflict("skiplistmap: removal window moved")
 		}
 		return
 	}
-	if stm.ReadFlag(tx, &target.marked) || stm.ReadFlag(tx, &f.mPreds[0].marked) {
+	next, marked := stm.ReadLink(tx, &target.next[0])
+	if marked || predMarked {
 		stm.Conflict("skiplistmap: node concurrently removed")
 	}
 	f.mRet, f.mOK = stm.ReadInt(tx, &target.val), true
-	stm.WriteFlag(tx, &target.marked, true)
+	stm.WriteLink(tx, &target.next[0], next, true)
 	for l := len(target.next) - 1; l >= 0; l-- {
 		pred := f.mPreds[l]
-		curr := stm.ReadPtr(tx, &pred.next[l])
+		curr, predMarked := stm.ReadLink(tx, &pred.next[l])
 		if curr != target {
 			stm.Conflict("skiplistmap: tower link moved")
 		}
-		if l > 0 && stm.ReadFlag(tx, &pred.marked) {
+		if predMarked {
 			stm.Conflict("skiplistmap: predecessor removed")
 		}
 		succ := stm.ReadPtr(tx, &target.next[l])
 		stm.WritePtr(tx, &pred.next[l], succ)
-		// Same-value rewrite of the departing node's link, as in the
-		// skip list set: bump the version so outherited elastic windows
-		// that run through target fail validation.
-		stm.WritePtr(tx, &target.next[l], succ)
+		// Mark the departing node's link, as in the skip list set: the
+		// mark turns away updates that still find target as a
+		// predecessor, and the version bump fails outherited elastic
+		// windows that run through target.
+		stm.WriteLink(tx, &target.next[l], succ, true)
 	}
 }
 

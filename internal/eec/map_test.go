@@ -91,7 +91,9 @@ func TestMapPutAllAndRange(t *testing.T) {
 }
 
 // TestMapAgainstModel drives random operation sequences against a map
-// model, over the whole value domain (see randValue).
+// model, over the whole value domain (see randValue). After every step the
+// mark invariant must hold: reachable nodes' links read unmarked, and the
+// links of the last few removed nodes read marked.
 func TestMapAgainstModel(t *testing.T) {
 	tm := core.New()
 	th := stm.NewThread(tm)
@@ -99,7 +101,12 @@ func TestMapAgainstModel(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 5))
 		m := eec.NewSkipListMap()
 		model := map[int]int64{}
+		var removed []eec.MapNode
 		for i := 0; i < 200; i++ {
+			if err := eec.CheckMapMarks(m, removed); err != nil {
+				t.Logf("seed %d, before op %d: %v", seed, i, err)
+				return false
+			}
 			k := int(rng.IntN(25))
 			switch rng.IntN(4) {
 			case 0:
@@ -114,6 +121,7 @@ func TestMapAgainstModel(t *testing.T) {
 				}
 				model[k] = v
 			case 1:
+				node := eec.MapNodeOf(m, k)
 				prev, had := m.Remove(th, k)
 				mprev, mhad := model[k], false
 				if _, ok := model[k]; ok {
@@ -121,6 +129,9 @@ func TestMapAgainstModel(t *testing.T) {
 				}
 				if had != mhad || (had && prev != mprev) {
 					return false
+				}
+				if node != nil {
+					removed = append(removed[max(0, len(removed)-3):], node)
 				}
 				delete(model, k)
 			case 2:
@@ -134,6 +145,10 @@ func TestMapAgainstModel(t *testing.T) {
 					return false
 				}
 			}
+		}
+		if err := eec.CheckMapMarks(m, removed); err != nil {
+			t.Logf("seed %d, at the end: %v", seed, err)
+			return false
 		}
 		return m.Size(th) == len(model)
 	}

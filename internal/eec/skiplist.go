@@ -16,46 +16,52 @@ const maxLevel = 16
 // randomHeight fit.
 const coTowerMax = 4
 
-// snode is a skiplist node: an immutable key, one transactional link per
-// level of its tower, and a transactional removal mark. The mark is what
-// lets concurrent updates detect that a predecessor they located during
-// an elastic traversal has since left the structure: every update reads
-// the marks of the nodes it writes through, so a removal (which sets the
-// mark) invalidates those readers at commit time. Links are typed
-// variables and the mark a typed flag, so traversals never box.
+// snode is a skiplist node: an immutable key and one transactional link
+// per level of its tower. Links are typed variables, so traversals never
+// box.
 //
-// key and the next header — what every hop reads — come first; the mark,
-// which only updates read, follows.
+// Each link also carries the node's removal mark (the link encoding,
+// mvar.LinkRaw): the transactional form of a Harris marked pointer. The
+// mark is what lets concurrent updates detect that a predecessor they
+// located during an elastic traversal has since left the structure. An
+// update reads each predecessor link it writes through, and so reads the
+// predecessor's mark with it. A removal writes every link of the departing
+// tower marked, so it invalidates those readers at commit time.
 type snode struct {
-	key    int
-	next   []mvar.Var[snode] // each holds *snode; len is the tower height
-	marked mvar.Flag         // zero value reads as false
+	key  int
+	next []mvar.Var[snode] // each holds *snode and the node's mark; len is the tower height
 }
 
 // newSnode allocates a node with a tower of the given height: in the same
 // heap object, immediately before the node, for heights ≤ coTowerMax, and
-// as a separate slice above that. See newMnode, which has the same shape.
+// as a separate slice above that. See newMnode, which has the same shapes.
 func newSnode(key, height int) *snode {
 	var n *snode
-	switch {
-	case height == 1:
+	switch height {
+	case 1:
 		x := new(struct {
 			t [1]mvar.Var[snode]
 			snode
 		})
 		n, x.next = &x.snode, x.t[:]
-	case height == 2:
+	case 2:
 		x := new(struct {
 			t [2]mvar.Var[snode]
 			snode
 		})
 		n, x.next = &x.snode, x.t[:]
-	case height <= coTowerMax:
+	case 3:
+		x := new(struct {
+			t [3]mvar.Var[snode]
+			snode
+		})
+		n, x.next = &x.snode, x.t[:]
+	case coTowerMax:
 		x := new(struct {
 			t [coTowerMax]mvar.Var[snode]
 			snode
 		})
-		n, x.next = &x.snode, x.t[:height]
+		n, x.next = &x.snode, x.t[:]
 	default:
 		n = &snode{next: make([]mvar.Var[snode], height)}
 	}
@@ -130,25 +136,26 @@ func (s *SkipListSet) add(tx stm.Tx, f *opFrame) bool {
 	// Re-read the level-0 link: under elastic semantics the traversal
 	// reads above may no longer be protected, so the links to be
 	// rewired are re-read transactionally just before writing — the
-	// re-reads join the protected set and are validated at commit.
-	succ := stm.ReadPtr(tx, &f.preds[0].next[0])
+	// re-reads join the protected set and are validated at commit. Each
+	// re-read also yields the predecessor's removal mark.
+	succ, predMarked := stm.ReadLink(tx, &f.preds[0].next[0])
 	if succ.key == key {
 		return false // already present
 	}
 	if f.preds[0].key >= key || succ.key < key {
 		stm.Conflict("skiplist: insertion window moved")
 	}
-	if stm.ReadFlag(tx, &f.preds[0].marked) {
+	if predMarked {
 		stm.Conflict("skiplist: predecessor removed")
 	}
 	n := newSnode(key, f.height)
 	for l := 0; l < f.height; l++ {
 		if l > 0 {
-			succ = stm.ReadPtr(tx, &f.preds[l].next[l])
+			succ, predMarked = stm.ReadLink(tx, &f.preds[l].next[l])
 			if f.preds[l].key >= key || succ.key <= key {
 				stm.Conflict("skiplist: insertion window moved")
 			}
-			if stm.ReadFlag(tx, &f.preds[l].marked) {
+			if predMarked {
 				stm.Conflict("skiplist: predecessor removed")
 			}
 		}
@@ -159,42 +166,49 @@ func (s *SkipListSet) add(tx stm.Tx, f *opFrame) bool {
 }
 
 // remove is the transactional body of Remove.
+//
+//compose:noalloc
 func (s *SkipListSet) remove(tx stm.Tx, f *opFrame) bool {
 	key := f.key
 	s.find(tx, f)
-	target := stm.ReadPtr(tx, &f.preds[0].next[0])
+	target, predMarked := stm.ReadLink(tx, &f.preds[0].next[0])
 	if target.key != key {
 		if target.key < key {
 			stm.Conflict("skiplist: removal window moved")
 		}
 		return false // absent
 	}
-	if stm.ReadFlag(tx, &target.marked) || stm.ReadFlag(tx, &f.preds[0].marked) {
+	next, marked := stm.ReadLink(tx, &target.next[0])
+	if marked || predMarked {
 		stm.Conflict("skiplist: node concurrently removed")
 	}
-	// Setting the mark is the linchpin: every concurrent update that
-	// located target (or uses it as a predecessor) has target.marked
-	// in its protected set and fails validation once we commit.
-	stm.WriteFlag(tx, &target.marked, true)
+	// Marking target's level-0 link is the linchpin: every concurrent
+	// update that located target — to remove it, or to insert right
+	// after it — has that link in its protected set and fails validation
+	// once we commit. It is the first write, right after the reads it
+	// checked, so the elastic window it promotes holds both of them.
+	stm.WriteLink(tx, &target.next[0], next, true)
 	for l := len(target.next) - 1; l >= 0; l-- {
 		pred := f.preds[l]
-		curr := stm.ReadPtr(tx, &pred.next[l])
+		curr, predMarked := stm.ReadLink(tx, &pred.next[l])
 		if curr != target {
 			stm.Conflict("skiplist: tower link moved")
 		}
-		if l > 0 && stm.ReadFlag(tx, &pred.marked) {
+		if predMarked {
 			stm.Conflict("skiplist: predecessor removed")
 		}
 		succ := stm.ReadPtr(tx, &target.next[l])
 		stm.WritePtr(tx, &pred.next[l], succ)
-		// Rewrite the removed node's link with the same value (cf.
-		// list.remove): the version bump invalidates any concurrent
-		// elastic transaction whose protected window — possibly
-		// outherited into an enclosing composition — is a link of the
-		// departing node. Without it, a composed contains whose last
-		// read went through target would still validate at the parent's
-		// commit and observe a node no longer in the structure.
-		stm.WritePtr(tx, &target.next[l], succ)
+		// Mark the removed node's link, keeping its successor (cf.
+		// list.remove's same-value rewrite). The mark turns away any
+		// update that still finds target as its predecessor on this
+		// level. The version bump invalidates any concurrent elastic
+		// transaction whose protected window — possibly outherited into
+		// an enclosing composition — is a link of the departing node.
+		// Without it, a composed contains whose last read went through
+		// target would still validate at the parent's commit and observe
+		// a node no longer in the structure.
+		stm.WriteLink(tx, &target.next[l], succ, true)
 	}
 	return true
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestTowerHeightsAgainstModel drives both skip lists with every tower
-// height — the three co-allocated shapes, the separate-tower fallback and
+// height — the four co-allocated shapes, the separate-tower fallback and
 // the seam between them at 4|5 — against plain Go maps: insert, get,
 // overwrite, remove, iterate, on every engine (elementary operations are atomic on estm too).
 func TestTowerHeightsAgainstModel(t *testing.T) {
@@ -42,6 +42,20 @@ func TestTowerHeightsAgainstModel(t *testing.T) {
 				}
 				if got := s.Elements(th); !slices.Equal(got, want) {
 					t.Fatalf("%s: set elements %v, model %v", step, got, want)
+				}
+			}
+			// The mark invariant, checked after every step: links of
+			// reachable nodes read unmarked, every link of the last few
+			// removed towers reads marked.
+			var mRemoved []eec.MapNode
+			var sRemoved []eec.SetNode
+			marks := func(i int) {
+				t.Helper()
+				if err := eec.CheckMapMarks(m, mRemoved); err != nil {
+					t.Fatalf("op %d: map: %v", i, err)
+				}
+				if err := eec.CheckSetMarks(s, sRemoved); err != nil {
+					t.Fatalf("op %d: set: %v", i, err)
 				}
 			}
 
@@ -76,12 +90,17 @@ func TestTowerHeightsAgainstModel(t *testing.T) {
 					}
 					model[k] = v
 				case 1:
+					mn, sn := eec.MapNodeOf(m, k), eec.SetNodeOf(s, k)
 					prev, had := m.Remove(th, k)
 					if had != inModel || prev != model[k] {
 						t.Fatalf("op %d: map Remove(%d) = %v,%v, model %v,%v", i, k, prev, had, model[k], inModel)
 					}
 					if removed := s.Remove(th, k); removed != inModel {
 						t.Fatalf("op %d: set Remove(%d) = %v, model %v", i, k, removed, inModel)
+					}
+					if inModel {
+						mRemoved = append(mRemoved[max(0, len(mRemoved)-3):], mn)
+						sRemoved = append(sRemoved[max(0, len(sRemoved)-3):], sn)
 					}
 					delete(model, k)
 				default:
@@ -93,6 +112,7 @@ func TestTowerHeightsAgainstModel(t *testing.T) {
 						t.Fatalf("op %d: Contains(%d) = %v, model %v", i, k, !inModel, inModel)
 					}
 				}
+				marks(i)
 				if i%50 == 0 {
 					check("mid-run")
 				}
@@ -110,7 +130,7 @@ func TestTowerHeightsAgainstModel(t *testing.T) {
 // own model. Run it under -race.
 func TestTowerHeightsConcurrent(t *testing.T) {
 	const workers, perWorker, rounds = 4, 8, 300
-	heights := []int{1, 2, 4, 5, eec.MaxLevel}
+	heights := []int{1, 2, 3, 4, 5, eec.MaxLevel}
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			tm := mk()

@@ -233,12 +233,18 @@ func (m measurement) into(r *Result) {
 // the warmup, with one clock read per operation (each operation's end
 // timestamps the next one's start), so the measured window itself stays
 // allocation-free and the allocs/op axis is unaffected.
+//
+// When the window closes every worker thread is cancelled (stm.Thread.
+// Cancel), so a step stuck retrying one transaction forever gives up at
+// its next abort instead of holding up the run. A worker stops at the
+// first step that gave up (th.Err() != nil), and that step is not counted.
 func runMeasured(threads int, warmup, duration time.Duration, newWorker func(idx int) (*stm.Thread, func()), onMeasure func()) measurement {
 	var (
 		stop      atomic.Bool
 		measuring atomic.Bool
 		wg        sync.WaitGroup
 		mu        sync.Mutex
+		workers   []*stm.Thread
 		totalOps  uint64
 		totals    stm.Stats
 		totalHist = new(stats.Histogram)
@@ -248,6 +254,9 @@ func runMeasured(threads int, warmup, duration time.Duration, newWorker func(idx
 		go func(idx int) {
 			defer wg.Done()
 			th, step := newWorker(idx)
+			mu.Lock()
+			workers = append(workers, th)
+			mu.Unlock()
 			hist := new(stats.Histogram) // heap traffic before the window opens
 			var ops uint64
 			var base stm.Stats
@@ -261,6 +270,9 @@ func runMeasured(threads int, warmup, duration time.Duration, newWorker func(idx
 					prev = time.Now()
 				}
 				step()
+				if th.Err() != nil {
+					break
+				}
 				ops++
 				if baseTaken {
 					now := time.Now()
@@ -291,6 +303,11 @@ func runMeasured(threads int, warmup, duration time.Duration, newWorker func(idx
 	stop.Store(true)
 	elapsed := time.Since(start)
 	m1 := mallocs()
+	mu.Lock()
+	for _, th := range workers {
+		th.Cancel()
+	}
+	mu.Unlock()
 	wg.Wait()
 
 	return measurement{Ops: totalOps, Totals: totals, Elapsed: elapsed, Mallocs: m1 - m0, Hist: totalHist}

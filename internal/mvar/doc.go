@@ -14,7 +14,7 @@
 // # Memory layout
 //
 // A Word is its three cells and nothing else: 24 bytes, no padding. Words
-// are overwhelmingly the links, marks and values of collection nodes, which
+// are overwhelmingly the links and values of collection nodes, which
 // a traversal reads hop after hop and rarely writes, so the cost that
 // matters is how many cache lines a hop touches — a word sits on the same
 // line as the key and the neighbouring fields of its node, and two list
@@ -56,10 +56,18 @@
 // interfaces. The typed variables are:
 //
 //	Var[T]  a *T in the pointer cell    allocation-free
+//	        (+ a mark bit in the scalar cell, the link encoding)
 //	Flag    a bool in the scalar cell   allocation-free
 //	IntVar  an int64 in the scalar cell allocation-free
 //	AnyVar  any value, boxed into the pointer cell (one allocation per
 //	        write) — the compatibility variable for arbitrary payloads
+//
+// A link is a Var[T] whose scalar cell also carries a mark bit (LinkRaw,
+// LinkValue): the transactional form of a Harris marked pointer. The
+// internal/eec skip lists mark every link of a departing node's tower in
+// the writes that already unlink it, so their nodes carry no separate mark
+// word. The plain pointer decoders (RefValue, stm.ReadPtr, Var.Load)
+// ignore the bit, and RefRaw writes an unmarked link.
 //
 // AnyVar is kept for the surfaces whose payloads really are arbitrary:
 // the public facade's Var, the engine conformance suite (internal/stmtest)

@@ -165,6 +165,20 @@ func RefRaw[T any](p *T) Raw { return Raw{p: (*byte)(unsafe.Pointer(p))} }
 // RefValue decodes a *T from the pointer cell.
 func RefValue[T any](r Raw) *T { return (*T)(unsafe.Pointer(r.p)) }
 
+// LinkRaw encodes a link: a *T in the pointer cell and a mark bit in the
+// scalar cell. RefRaw(p) is LinkRaw(p, false), so a Var[T] may be written
+// by either encoding and read by either decoder.
+func LinkRaw[T any](p *T, mark bool) Raw {
+	r := RefRaw(p)
+	if mark {
+		r.b = 1
+	}
+	return r
+}
+
+// LinkValue decodes a link into its pointer and its mark bit.
+func LinkValue[T any](r Raw) (p *T, mark bool) { return RefValue[T](r), r.b != 0 }
+
 // FlagRaw encodes a bool into the scalar cell.
 //
 //compose:noalloc
@@ -217,8 +231,9 @@ func AnyValue(r Raw) any {
 // Var is a typed transactional variable holding a *T, stored directly in
 // the word's pointer cell: reads and writes never box, so the hot paths of
 // pointer-linked structures (list/skiplist/queue nodes) are
-// allocation-free. The zero value is an unlocked variable at version 0
-// holding nil.
+// allocation-free. The scalar cell may carry a mark bit beside the pointer
+// (the link encoding, LinkRaw). The zero value is an unlocked variable at
+// version 0 holding an unmarked nil.
 type Var[T any] struct{ w Word }
 
 // NewVar returns a Var initialised to p at version 0.

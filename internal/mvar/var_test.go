@@ -225,6 +225,41 @@ func TestTypedVarRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLinkRoundTrip pins the link encoding: pointer and mark travel
+// together, the plain pointer decoders ignore the mark, and RefRaw is the
+// unmarked link.
+func TestLinkRoundTrip(t *testing.T) {
+	type node struct{ k int }
+	a := &node{1}
+	for _, p := range []*node{nil, a} {
+		for _, mark := range []bool{false, true} {
+			r := LinkRaw(p, mark)
+			if gp, gm := LinkValue[node](r); gp != p || gm != mark {
+				t.Fatalf("LinkValue(LinkRaw(%p, %v)) = %p, %v", p, mark, gp, gm)
+			}
+			if RefValue[node](r) != p {
+				t.Fatalf("RefValue of a link marked %v lost its pointer", mark)
+			}
+		}
+	}
+	if LinkRaw(a, false) != RefRaw(a) {
+		t.Fatal("an unmarked link must encode exactly as RefRaw")
+	}
+	v := NewVar(a)
+	w := v.Word()
+	if !w.TryLock(1, w.Meta()) {
+		t.Fatal("TryLock failed")
+	}
+	w.StoreLockedRaw(LinkRaw(a, true))
+	w.Unlock(2)
+	if v.Load() != a {
+		t.Fatal("Var.Load of a marked link must still return the pointer")
+	}
+	if _, mark := LinkValue[node](w.LoadRaw()); !mark {
+		t.Fatal("mark lost through the word")
+	}
+}
+
 func TestFlagRoundTrip(t *testing.T) {
 	var f Flag
 	if f.Load() {

@@ -13,6 +13,11 @@ import (
 // ConflictCause of the abort; every abort is also counted per cause in
 // Thread.Stats.
 //
+// The retry loop ends early in two cases, each returning an error that
+// matches ErrConflict and is also kept as th.Err(): MaxRetries attempts
+// have aborted (*RetryExhaustedError), or an attempt aborted after Cancel
+// (*CancelledError).
+//
 // If a transaction is already open on th, Atomic starts a nested (child)
 // transaction instead: this is concurrent composition in the paper's
 // sense. A conflict inside a child unwinds and retries the whole outermost
@@ -42,7 +47,12 @@ func (th *Thread) Atomic(k Kind, fn func(tx Tx) error) error {
 		th.Stats.Aborts++
 		th.Stats.AbortsByCause[cause]++
 		if th.MaxRetries > 0 && attempt+1 >= th.MaxRetries {
-			return &RetryExhaustedError{Attempts: attempt + 1, Cause: cause}
+			th.err = &RetryExhaustedError{Attempts: attempt + 1, Cause: cause}
+			return th.err
+		}
+		if th.cancel.Load() {
+			th.err = &CancelledError{Attempts: attempt + 1, Cause: cause}
+			return th.err
 		}
 		if th.CM != nil {
 			th.Wait(th.CM.OnAbort(th, cause, attempt))
@@ -143,9 +153,21 @@ func ReadPtr[T any](tx Tx, v *mvar.Var[T]) *T {
 	return mvar.RefValue[T](tx.ReadWord(v.Word()))
 }
 
-// WritePtr buffers a new pointer for the typed variable v inside tx.
+// WritePtr buffers a new pointer for the typed variable v inside tx. The
+// link it writes is unmarked.
 func WritePtr[T any](tx Tx, v *mvar.Var[T], p *T) {
 	tx.WriteWord(v.Word(), mvar.RefRaw(p))
+}
+
+// ReadLink reads the typed variable v inside tx as a link: its pointer and
+// its mark bit, from one transactional read (mvar.LinkValue).
+func ReadLink[T any](tx Tx, v *mvar.Var[T]) (*T, bool) {
+	return mvar.LinkValue[T](tx.ReadWord(v.Word()))
+}
+
+// WriteLink buffers a new pointer and mark bit for the link v inside tx.
+func WriteLink[T any](tx Tx, v *mvar.Var[T], p *T, mark bool) {
+	tx.WriteWord(v.Word(), mvar.LinkRaw(p, mark))
 }
 
 // ReadFlag reads the transactional boolean v inside tx.

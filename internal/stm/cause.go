@@ -156,9 +156,34 @@ func CauseOf(err error) ConflictCause {
 		return e.cause
 	case *RetryExhaustedError:
 		return e.Cause
+	case *CancelledError:
+		return e.Cause
 	}
 	return CauseUnknown
 }
+
+// CancelledError is returned by Atomic when an attempt aborted after the
+// thread was cancelled (Thread.Cancel): the call gave up instead of
+// retrying. It matches errors.Is(err, ErrConflict), so callers that only
+// test for a conflict outcome treat it like exhaustion.
+type CancelledError struct {
+	// Attempts is how many times the transaction was executed.
+	Attempts int
+	// Cause is why the final attempt aborted.
+	Cause ConflictCause
+}
+
+// Error implements error.
+func (e *CancelledError) Error() string {
+	return fmt.Sprintf("stm: transaction conflict: cancelled after %d attempts (last cause: %s)",
+		e.Attempts, e.Cause)
+}
+
+// Is makes errors.Is(err, ErrConflict) hold.
+func (e *CancelledError) Is(target error) bool { return target == ErrConflict }
+
+// Unwrap exposes the sentinel for errors.Unwrap chains.
+func (e *CancelledError) Unwrap() error { return ErrConflict }
 
 // RetryExhaustedError is returned by Atomic when Thread.MaxRetries is set
 // and every attempt aborted: it carries the attempt count and the last

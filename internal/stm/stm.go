@@ -58,7 +58,8 @@ func (k Kind) String() string {
 // The word-level methods (ReadWord/WriteWord) are the allocation-free hot
 // path: they move opaque mvar.Raw payloads between typed variables and the
 // engine's flat read/write sets. User code reaches them through the typed
-// helpers (ReadPtr, WritePtr, ReadFlag, WriteFlag) rather than directly.
+// helpers (ReadPtr, WritePtr, ReadLink, WriteLink, ReadFlag, WriteFlag)
+// rather than directly.
 // Read/Write are the untyped convenience surface over mvar.AnyVar, which
 // boxes values.
 type Tx interface {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"oestm/internal/mvar"
 )
@@ -179,6 +180,62 @@ func TestAtomicMaxRetries(t *testing.T) {
 	}
 	if runs != 4 {
 		t.Fatalf("runs = %d, want 4", runs)
+	}
+	if th.Err() != err {
+		t.Fatalf("Err() = %v, want the exhausted exit %v", th.Err(), err)
+	}
+}
+
+// TestCancelEndsWedgedAtomic wedges an Atomic call (every attempt
+// conflicts, no retry budget) and cancels it from another goroutine: the
+// call must return promptly with a typed, ErrConflict-matching error that
+// is also kept as the thread's sticky Err, and ClearErr must make the
+// thread usable again.
+func TestCancelEndsWedgedAtomic(t *testing.T) {
+	th := NewThread(&fakeTM{})
+	started := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		runs := 0
+		done <- th.Atomic(Regular, func(Tx) error {
+			if runs++; runs == 1 {
+				close(started)
+			}
+			Conflict("wedged")
+			return nil
+		})
+	}()
+	<-started
+	time.Sleep(10 * time.Millisecond)
+	cancelled := time.Now()
+	th.Cancel()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a cancelled Atomic was still retrying after 1s")
+	}
+	t.Logf("cancelled exit after %v: %v", time.Since(cancelled), err)
+	var ce *CancelledError
+	if !errors.As(err, &ce) || !errors.Is(err, ErrConflict) || ce.Attempts < 1 || ce.Cause != CauseExplicit || CauseOf(err) != CauseExplicit {
+		t.Fatalf("err = %#v, want a *CancelledError matching ErrConflict with cause explicit", err)
+	}
+	if th.Err() != err {
+		t.Fatalf("Err() = %v, want the cancelled exit", th.Err())
+	}
+	// A later commit neither clears the sticky error nor is cancelled.
+	if err := th.Atomic(Regular, func(Tx) error { return nil }); err != nil || th.Err() == nil {
+		t.Fatalf("commit after cancel: err %v, sticky %v", err, th.Err())
+	}
+	th.ClearErr()
+	runs := 0
+	if err := th.Atomic(Regular, func(Tx) error {
+		if runs++; runs < 3 {
+			Conflict("transient")
+		}
+		return nil
+	}); err != nil || th.Err() != nil || runs != 3 {
+		t.Fatalf("after ClearErr: err %v, sticky %v, runs %d; want a normal retried commit", err, th.Err(), runs)
 	}
 }
 

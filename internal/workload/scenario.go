@@ -75,7 +75,11 @@ func (cfg ScenarioConfig) Scaled(factor int) ScenarioConfig {
 }
 
 // Worker is the per-thread face of a scenario: Step runs one operation
-// (mutation or audit) on the thread the worker was created for.
+// (mutation or audit) on the thread the worker was created for. An audit
+// whose transaction gave up instead of committing (stm.Thread.Cancel or a
+// retry budget; the thread's Err is set after the step) records no
+// violation: what it read was never validated. The caller clears Err
+// before stepping the worker again.
 type Worker interface{ Step() }
 
 // Scenario is one composed-transaction workload instance. A Scenario is
@@ -201,8 +205,7 @@ func (s *moveScenario) NewWorker(th *stm.Thread, idx int) Worker {
 func (w *moveWorker) Step() {
 	s := w.s
 	if w.rng.IntN(100) < s.cfg.AuditPct {
-		_ = w.th.Atomic(stm.Regular, w.auditFn)
-		if w.total != s.cfg.Keys {
+		if err := w.th.Atomic(stm.Regular, w.auditFn); err == nil && w.total != s.cfg.Keys {
 			s.violations.Add(1)
 		}
 		return
@@ -295,7 +298,10 @@ func (w *iiaWorker) Step() {
 		// elastic Contains children would not do: a read-only elastic
 		// child only outherits its last read, so the pair of lookups
 		// would not be validated as one atomic observation.
-		s.violations.Add(uint64(fullPairs(s.s.Elements(w.th))))
+		full := fullPairs(s.s.Elements(w.th))
+		if w.th.Err() == nil {
+			s.violations.Add(uint64(full))
+		}
 		return
 	}
 	i := w.pairs.Next(w.rng)
@@ -382,7 +388,7 @@ func (s *bankScenario) NewWorker(th *stm.Thread, idx int) Worker {
 func (w *bankWorker) Step() {
 	s := w.s
 	if w.rng.IntN(100) < s.cfg.AuditPct {
-		if s.m.SumInt(w.th) != s.expected {
+		if sum := s.m.SumInt(w.th); w.th.Err() == nil && sum != s.expected {
 			s.violations.Add(1)
 		}
 		return
@@ -491,8 +497,7 @@ func (s *pipelineScenario) NewWorker(th *stm.Thread, idx int) Worker {
 func (w *pipelineWorker) Step() {
 	s := w.s
 	if w.rng.IntN(100) < s.cfg.AuditPct {
-		_ = w.th.Atomic(stm.Regular, w.auditFn)
-		if w.auditBad {
+		if err := w.th.Atomic(stm.Regular, w.auditFn); err == nil && w.auditBad {
 			s.violations.Add(1)
 		}
 		return
@@ -519,8 +524,7 @@ func (w *pipelineWorker) Step() {
 		}
 		s.q1.MoveTo(w.th, s.q2)
 	default: // consume
-		_ = w.th.Atomic(stm.Regular, w.consumeFn)
-		if w.gotOK {
+		if err := w.th.Atomic(stm.Regular, w.consumeFn); err == nil && w.gotOK {
 			if w.got <= w.last {
 				s.violations.Add(1)
 			}
