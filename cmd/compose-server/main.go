@@ -14,10 +14,12 @@
 // stats request. SIGINT/SIGTERM drain gracefully: accepted connections
 // finish the requests they have already sent.
 //
-// -unsound splits every composed operation into separate transactions
-// (the deliberately broken baseline of the cross-shard atomicity
-// checkers); pair it with -max-retries so torn structures cannot wedge a
-// connection.
+// -max-retries bounds every transaction of every request (0 = unlimited):
+// a request that exhausts it is answered with a typed retry-exhausted
+// error. -unsound splits every composed operation into separate
+// transactions (the deliberately broken baseline of the cross-shard
+// atomicity checkers); pair it with -max-retries so torn structures cannot
+// wedge a connection.
 //
 // -wal-dir makes the store durable: every acknowledged mutation is
 // group-committed to a per-shard write-ahead log (internal/wal) before
@@ -58,7 +60,7 @@ func main() {
 		engine  = flag.String("engine", "oestm", "engine to serve: oestm, lsa, tl2, swisstm, estm")
 		shards  = flag.Int("shards", store.DefaultShards, "shard count (power of two)")
 		cmName  = flag.String("cm", cm.DefaultName, "contention-management policy per connection: "+strings.Join(cm.Names(), "|"))
-		retries = flag.Int("max-retries", 0, "bound the transaction retries of each composed request — mget, mput, cam, add, madd — with -exec=conn (0 = unlimited; exhaustion returns a typed error; -exec=batch commits per shard serially and needs no bound)")
+		retries = flag.Int("max-retries", 0, "bound the retries of every transaction of every request with -exec=conn (0 = unlimited; exhaustion returns a typed error; -exec=batch commits per shard serially and needs no bound)")
 		unsound = flag.Bool("unsound", false, "split composed operations into separate transactions (atomicity deliberately broken)")
 		boost   = flag.String("boost", "auto", "commutative hot-key path for add/madd: off (read-modify-write control), auto (promote keys whose add stream aborts), on (boost every add)")
 		drain   = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget before connections are closed hard")

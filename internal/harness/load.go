@@ -567,7 +567,7 @@ func (w *loadWorker) step() (int, error) {
 	return len(w.reqs), nil
 }
 
-// ignoreExhausted tolerates ErrRetryExhausted on composed requests:
+// ignoreExhausted tolerates ErrRetryExhausted on any request:
 // bounded-retry servers may give up one operation under contention, and
 // the closed loop just moves on, at any pipeline depth (Client.Pipeline
 // drains the whole burst). Pipeline reports only the first failed slot,

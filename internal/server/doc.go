@@ -28,8 +28,9 @@
 // body was never read — so the server responds ErrFrameTooLarge and
 // closes; a stream ending mid-frame is answered with ErrTruncated on the
 // way down. Keys colliding with the store's sentinels are ErrKeyRange.
-// When Config.MaxRetries bounds the per-request transaction retries,
-// exhaustion is ErrRetryExhausted (the store is unchanged).
+// Config.MaxRetries bounds every transaction of every request, whatever
+// the opcode: a request that exhausts it is answered ErrRetryExhausted (a
+// sound store is unchanged; an unsound split keeps the pieces that ran).
 //
 // # Stats
 //
@@ -46,7 +47,9 @@
 // blocking read via a read deadline; handlers finish the requests
 // already buffered (pipelined work is completed, responses flushed)
 // and close. Idle connections close immediately. If the context expires
-// first, remaining connections are closed hard.
+// first, remaining connections are closed hard and their threads
+// cancelled: a handler spinning in a transaction retry loop gives up at
+// its next abort, answers ErrShuttingDown and ends its connection.
 //
 //compose:hotpath
 package server

@@ -35,16 +35,16 @@ type Config struct {
 	// CM names the contention policy installed on every connection's
 	// thread (internal/cm; empty = cm.DefaultName).
 	CM string
-	// MaxRetries, when non-zero, bounds the transaction attempts of each
-	// composed conn-mode request (MGet, MPut, CompareAndMove, Add, MAdd —
-	// and their split pieces under Unsound); exhaustion returns
-	// ErrRetryExhausted to the client instead of retrying forever — a
-	// liveness guard for unsound/ablation setups (store.Frame.SetBudget
-	// explains why elementary requests are never bounded). It is not
-	// applied to the batch executor's applier threads: speculation runs
-	// no engine transactions, and a shard's commit job is the only writer
-	// of its shard (reads happen in a disjoint phase), so its apply
-	// transactions have nothing to conflict with and need no bound.
+	// MaxRetries, when non-zero, bounds the attempts of every transaction
+	// of every conn-mode request (it is the connection thread's
+	// stm.Thread.MaxRetries); exhaustion returns ErrRetryExhausted to the
+	// client instead of retrying forever — a liveness guard for the
+	// ablations, under which a torn composition can leave a structure on
+	// which every attempt conflicts. It is not applied to the batch
+	// executor's applier threads: speculation runs no engine transactions,
+	// and a shard's commit job is the only writer of its shard (reads
+	// happen in a disjoint phase), so its apply transactions have nothing
+	// to conflict with and need no bound.
 	MaxRetries int
 	// Unsound builds the store in unsound mode (composed operations split
 	// into separate transactions — the checker-validation baseline).
@@ -283,7 +283,8 @@ func (s *Server) acceptLoop() {
 
 // Shutdown drains the server: stop accepting, let every connection
 // finish the requests it has already received, then close. Connections
-// still open when ctx expires are closed hard. Safe to call once.
+// still open when ctx expires are closed hard and their threads
+// cancelled. Safe to call once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if s.ln != nil {
@@ -311,17 +312,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closeBatch()
 		return s.closeWAL()
 	case <-ctx.Done():
+		// Close hard: the closed socket unblocks a handler doing IO, and
+		// the cancelled thread stops one spinning in a transaction retry
+		// loop at its next abort. Grant a short grace for them to return.
 		s.mu.Lock()
 		for c := range s.conns {
 			c.nc.Close()
+			c.th.Cancel()
 		}
 		s.mu.Unlock()
-		// A closed socket unblocks any handler doing IO, but it cannot
-		// interrupt one wedged in a CPU-bound transaction retry loop
-		// (possible only under unsound/ablation corruption with an
-		// unbounded retry budget — the situation Config.MaxRetries
-		// exists to prevent). Grant a short grace, then give up rather
-		// than hang past the caller's deadline forever.
 		select {
 		case <-done:
 			s.closeBatch()
@@ -554,15 +553,14 @@ type conn struct {
 func newConn(s *Server, nc net.Conn) *conn {
 	th := stm.NewThread(s.tm)
 	th.CM = cm.MustNew(s.cmName)
-	fr := s.st.NewFrame(th)
-	fr.SetBudget(s.cfg.MaxRetries)
+	th.MaxRetries = s.cfg.MaxRetries
 	c := &conn{
 		srv: s,
 		nc:  nc,
 		br:  bufio.NewReaderSize(nc, 32<<10),
 		bw:  bufio.NewWriterSize(nc, 32<<10),
 		th:  th,
-		fr:  fr,
+		fr:  s.st.NewFrame(th),
 	}
 	if s.batch != nil {
 		c.doneCh = make(chan struct{}, 1)
@@ -672,7 +670,7 @@ func (c *conn) handle() {
 			t.decode(body)
 			if batch == nil {
 				if t.runs {
-					c.exec(t)
+					ok = c.exec(t)
 				}
 				break
 			}
@@ -749,10 +747,12 @@ func (c *conn) recordAbort(q *wire.Request, aborts uint64, elapsed time.Duration
 }
 
 // exec runs one store-bound request on the connection's own frame — the
-// conn-mode execution (batch mode's is request.Speculate).
-func (c *conn) exec(t *request) {
+// conn-mode execution (batch mode's is request.Speculate) — and reports
+// whether the connection may serve another request. Any operation that
+// gave up (store.Frame.Err) is answered the same way: ErrShuttingDown if
+// Shutdown cancelled the thread, ErrRetryExhausted otherwise.
+func (c *conn) exec(t *request) bool {
 	q, r, fr := &t.req, &t.resp, c.fr
-	committed := true
 	switch q.Op {
 	case wire.OpGet:
 		var ok bool
@@ -771,17 +771,26 @@ func (c *conn) exec(t *request) {
 			r.Vals, r.Present = make([]int64, n), make([]bool, n)
 		}
 		r.Vals, r.Present = r.Vals[:n], r.Present[:n]
-		committed = fr.MGet(q.Keys, r.Vals, r.Present)
+		fr.MGet(q.Keys, r.Vals, r.Present)
 	case wire.OpMPut:
-		committed = fr.MPut(q.Keys, q.Vals)
+		fr.MPut(q.Keys, q.Vals)
 	case wire.OpAdd:
-		committed = fr.Add(q.Key, q.Val)
+		fr.Add(q.Key, q.Val)
 	case wire.OpMAdd:
-		committed = fr.MAdd(q.Keys, q.Vals)
+		fr.MAdd(q.Keys, q.Vals)
 	}
-	if !committed {
+	switch err := fr.Err(); {
+	case err == nil:
+	case errors.As(err, new(*stm.CancelledError)):
+		// End the connection without ClearErr, which would withdraw the
+		// cancellation before the next buffered request ran.
+		fail(r, wire.ErrShuttingDown, q.Op.String()+" cancelled by shutdown")
+		return false
+	default:
 		fail(r, wire.ErrRetryExhausted, q.Op.String()+" retry budget exhausted")
+		fr.ClearErr()
 	}
+	return true
 }
 
 // appendResponse encodes t's response body onto dst — the one

@@ -80,8 +80,9 @@ type Thread struct {
 	// MaxRetries, when non-zero, bounds the attempts of one Atomic call;
 	// exceeding it returns a *RetryExhaustedError (matching ErrConflict)
 	// carrying the attempt count and last conflict cause instead of
-	// retrying forever. Intended for tests; production configurations
-	// leave it 0.
+	// retrying forever. compose-server sets it on every connection's
+	// thread from -max-retries (default 0), a liveness guard for the
+	// ablations.
 	MaxRetries int
 
 	// CM is the thread's contention manager, consulted between attempts

@@ -4,6 +4,7 @@
 // the benchmark harness rely on: atomicity, isolation, read-own-write,
 // abort semantics, nesting/composition, and serializability witnesses such
 // as write-skew prevention and invariant preservation under contention.
+// WedgingTM is the suite's one fault-injecting engine wrapper.
 package stmtest
 
 import (

@@ -14,8 +14,8 @@
 //     which an operation may hit the structures' explicit window conflicts
 //     on every attempt, forever; the budget turns that wedge into a
 //     discarded operation instead of a hung test. Composing engines never
-//     exhaust it, but the audits still honour the committed flag so an
-//     exhausted audit cannot report garbage.
+//     exhaust it, but the audits still check Frame.Err so an audit that
+//     gave up cannot report garbage.
 //
 //   - The runs raise GOMAXPROCS: contended workers yield only between
 //     attempts (backoff), never inside a composition, so on a single P the
@@ -57,8 +57,9 @@ func crossShardViolations(t *testing.T, newTM func() stm.TM, unsound bool, keys,
 	}
 
 	audit := func(f *Frame, all, vals []int64, oks []bool) uint64 {
-		if !f.MGet(all, vals, oks) {
-			return 0 // retry budget exhausted: no consistent observation
+		if f.MGet(all, vals, oks); f.Err() != nil {
+			f.ClearErr()
+			return 0 // gave up: no consistent observation
 		}
 		bad := uint64(0)
 		present := 0
@@ -99,6 +100,7 @@ func crossShardViolations(t *testing.T, newTM func() stm.TM, unsound bool, keys,
 					continue
 				}
 				f.CompareAndMove(int64(rng.IntN(keys)), int64(rng.IntN(keys)), tokenVal)
+				f.ClearErr()
 			}
 		}(i)
 	}

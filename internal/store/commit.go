@@ -233,12 +233,12 @@ func (f *Frame) promoted() bool {
 }
 
 // commit pushes the staged mutation through the pipeline and waits for
-// its records to be durable. A non-nil error means the retry budget ran
-// out and the mutation did not happen (at most, hot counters were folded
-// back into their bases, which changes no key's value).
+// its records to be durable. If it gives up (see Err), the mutation did
+// not happen: at most, hot counters were folded back into their bases,
+// which changes no key's value.
 //
 //compose:noalloc
-func (f *Frame) commit() error {
+func (f *Frame) commit() {
 	s := f.st
 	f.wShards, f.wSeqs = f.wShards[:0], f.wSeqs[:0]
 	if s.wal != nil {
@@ -264,13 +264,13 @@ func (f *Frame) commit() error {
 		}
 	}
 	if err != nil {
-		return err
+		f.err = err
+		return
 	}
 	if f.fused && f.class == classDelta {
 		s.boostedOps.Add(uint64(len(f.keys)))
 	}
 	s.syncShards(f.wShards, f.wSeqs, &f.walErr)
-	return nil
 }
 
 // fusedBody is commit's boosted transaction: every abstract lock is held
@@ -331,9 +331,15 @@ func (f *Frame) mutate() error {
 		}
 	}
 	if f.body == nil {
-		// Elementary: the effect is one individually atomic eec operation.
-		// A remove that found nothing mutated nothing and logs nothing.
+		// Elementary: the effect is one individually atomic eec operation,
+		// which reports a give-up only as a new th.Err(); it then applied
+		// nothing and must log nothing. A remove that found nothing
+		// mutated nothing and logs nothing either.
+		e0 := f.th.Err()
 		f.prev, f.hit = f.st.apply(f.th, &f.effects[0])
+		if err := f.th.Err(); err != e0 {
+			return err
+		}
 		if f.effects[0].Remove && !f.hit {
 			f.effects = f.effects[:0]
 		}

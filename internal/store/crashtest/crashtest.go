@@ -162,8 +162,8 @@ func AuditTokens(f *store.Frame, keys int) (violations, present int) {
 	for k := range all {
 		all[k] = int64(k)
 	}
-	if !f.MGet(all, vals, oks) {
-		return 1, 0 // a quiesced audit must not exhaust its budget
+	if f.MGet(all, vals, oks); f.Err() != nil {
+		return 1, 0 // a quiesced audit must not give up
 	}
 	for k := range all {
 		if oks[k] {

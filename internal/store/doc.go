@@ -39,6 +39,12 @@
 // in ascending order, run the body, turn the effect list into log
 // records by one rule, unlock, wait for group commit.
 //
+// A Frame's thread carries the one retry bound (stm.Thread.MaxRetries,
+// 0 = unbounded): it covers every transaction of every operation,
+// elementary or composed. An operation that gives up — bound exhausted or
+// thread cancelled — reports it through one sticky error, Frame.Err,
+// until ClearErr.
+//
 // Unsound mode splits every composed operation into separate top-level
 // transactions — the deliberately broken baseline the cross-shard
 // atomicity checkers are required to catch, extending the PR 2 pattern

@@ -32,10 +32,6 @@ type Frame struct {
 	// composition).
 	kind stm.Kind
 
-	// budget, when non-zero, bounds the transaction attempts of each
-	// composed operation (see SetBudget).
-	budget int
-
 	// The operation in flight — the descriptor the commit pipeline
 	// (commit.go) and the read path walk: its class and keys, the hot
 	// counters resolve found for them, and for mutations the pre-bound
@@ -63,7 +59,6 @@ type Frame struct {
 
 	readFn, applyFn, camFn, foldFn func(stm.Tx) error
 	fusedFn, fusedReadFn           func(*boost.Tx) error
-	commitOp, readOp               func() error
 
 	// WAL scratch (reused across operations so the logging path stays
 	// allocation-free once grown): the sorted unique participant shards
@@ -73,56 +68,46 @@ type Frame struct {
 	// walErr is the sticky first log I/O error observed by this frame
 	// (see WALErr).
 	walErr error
+	// err is the sticky give-up of a pipeline walk (see Err).
+	err error
 }
 
 // NewFrame binds a frame for th. One frame per connection: the server
 // creates it next to the connection's thread and reuses it for every
-// request.
+// request. th's retry bound (stm.Thread.MaxRetries, set before the call)
+// also bounds the frame's abstract-lock retries, so it covers every
+// transaction of every operation.
 func (s *Store) NewFrame(th *stm.Thread) *Frame {
 	f := &Frame{st: s, th: th, kind: eec.OpKind(th), bth: s.bt.NewThread()}
+	f.bth.MaxRetries = th.MaxRetries
 	f.readFn = func(tx stm.Tx) error { f.readBody(tx); return nil }
 	f.applyFn = func(stm.Tx) error { f.applyBody(); return nil }
 	f.camFn = func(stm.Tx) error { f.camBody(); return nil }
 	f.foldFn = func(stm.Tx) error { f.st.apply(f.th, &f.foldEf); return nil }
 	f.fusedFn = f.fusedBody
 	f.fusedReadFn = f.fusedReadBody
-	f.commitOp = f.commit
-	f.readOp = f.read
 	return f
 }
 
-// Thread returns the thread the frame is bound to.
-func (f *Frame) Thread() *stm.Thread { return f.th }
-
-// SetBudget bounds the transaction attempts of each composed operation
-// (0 = unbounded, the default): when the budget runs out the operation
-// reports uncommitted instead of retrying forever. It exists as a
-// liveness guard for deliberately broken configurations — under the estm
-// ablation or Unsound mode a torn composition can corrupt a shard's
-// structural invariants, wedging a later composed operation in a
-// permanent conflict loop. Elementary operations are never budgeted:
-// they are individually atomic on every engine, cannot be torn, and
-// their eec surface has no failure channel — bounding them would trade a
-// (corruption-only) wedge for silently wrong answers. Unsound mode is the
-// exception: there the budget covers the split-out elementary pieces —
-// exactly the transactions a corrupted unsound store can wedge — so an
-// exhausted piece silently degrades (a read observes absence, a write is
-// dropped), acceptable only because unsound mode exists to break
-// semantics.
-func (f *Frame) SetBudget(n int) { f.budget = n }
-
-// bounded runs one composed operation under the frame's budget, on both
-// of the frame's threads: the STM one its transactions retry on and the
-// boosting one its abstract-lock acquisitions retry on.
-func (f *Frame) bounded(op func() error) error {
-	if f.budget == 0 {
-		return op()
+// Err returns the frame's sticky give-up: nil while every operation since
+// the last ClearErr took effect. Otherwise one of them stopped retrying —
+// the thread's retry bound ran out or the thread was cancelled — and its
+// outputs must be discarded. A sound operation that gave up changed no
+// key; an unsound split keeps the pieces that ran before the give-up. The
+// error is the thread's (*stm.RetryExhaustedError or *stm.CancelledError)
+// or the boosting thread's exhaustion, which the thread does not see.
+func (f *Frame) Err() error {
+	if f.err != nil {
+		return f.err
 	}
-	pt, pb := f.th.MaxRetries, f.bth.MaxRetries
-	f.th.MaxRetries, f.bth.MaxRetries = f.budget, f.budget
-	err := op()
-	f.th.MaxRetries, f.bth.MaxRetries = pt, pb
-	return err
+	return f.th.Err()
+}
+
+// ClearErr clears the give-up, and with it any cancellation of the
+// thread (stm.Thread.ClearErr).
+func (f *Frame) ClearErr() {
+	f.err = nil
+	f.th.ClearErr()
 }
 
 // noteOp credits one key-operation to key's shard and attributes the
@@ -181,7 +166,7 @@ func (f *Frame) Get(key int64) (v int64, ok bool) {
 	} else {
 		f.k1[0] = key
 		f.class, f.keys, f.vals, f.oks = classRead, f.k1[:1], f.v1[:1], f.ok1[:]
-		_ = f.read() // unbudgeted, like every elementary operation
+		f.read()
 		v, ok = f.v1[0], f.ok1[0]
 	}
 	f.noteOp(key, a0)
@@ -202,29 +187,21 @@ func (f *Frame) getRaw(key int64) (int64, bool) {
 // comment for why it is not a composition of Get children). vals and oks
 // must be at least len(keys) long; they are the caller's reusable
 // buffers. In unsound mode every key is read in its own transaction.
-//
-// The composed operations report whether they committed: false means the
-// frame's retry budget (SetBudget) was exhausted and the outputs must be
-// discarded. With an unbounded budget (the default) they always return
-// true.
-func (f *Frame) MGet(keys []int64, vals []int64, oks []bool) bool {
+func (f *Frame) MGet(keys []int64, vals []int64, oks []bool) {
 	if f.st.unsound {
 		// The split pieces go through the public operations, which count
 		// each key-operation themselves — no outer noteComposed, or the
 		// shards would double-count.
-		return f.bounded(func() error {
-			for i, k := range keys {
-				vals[i], oks[i] = f.Get(k)
-			}
-			return nil
-		}) == nil
+		for i, k := range keys {
+			vals[i], oks[i] = f.Get(k)
+		}
+		return
 	}
 	a0 := f.th.Stats.Aborts
 	f.class, f.keys, f.vals, f.oks = classRead, keys, vals, oks
-	err := f.bounded(f.readOp)
+	f.read()
 	f.noteComposed(keys, a0)
 	f.keys, f.vals, f.oks = nil, nil, nil
-	return err == nil
 }
 
 // read runs the read in flight. With none of its keys promoted it is the
@@ -238,13 +215,17 @@ func (f *Frame) MGet(keys []int64, vals []int64, oks []bool) bool {
 // with a locked key blocks on that lock until this read commits, and one
 // touching no locked key leaves every folded overlay and snapshotted
 // base untouched — the read linearizes before it.
-func (f *Frame) read() error {
+func (f *Frame) read() {
 	for {
 		if !f.resolve() {
-			return f.th.Atomic(stm.Regular, f.readFn)
+			_ = f.th.Atomic(stm.Regular, f.readFn) // a give-up is in th.Err()
+			return
 		}
 		if err := f.bth.Atomic(f.fusedReadFn); err != errHotDead {
-			return err
+			if err != nil {
+				f.err = err
+			}
+			return
 		}
 	}
 }
@@ -295,29 +276,25 @@ func (f *Frame) Remove(key int64) (int64, bool) {
 }
 
 // elementary commits a one-effect absolute mutation whose body is the
-// elementary eec operation itself: unbudgeted, so it cannot fail. The
-// outcome lands in f.prev/f.hit.
+// elementary eec operation itself. The outcome lands in f.prev/f.hit.
 func (f *Frame) elementary(key, val int64, remove bool) {
 	a0 := f.th.Stats.Aborts
 	f.k1[0], f.v1[0] = key, val
 	f.stage(classAbsolute, f.k1[:1], f.v1[:1])
 	f.effects[0].Remove = remove
 	f.body = nil
-	_ = f.commit()
+	f.commit()
 	f.noteOp(key, a0)
 }
 
 // composed commits the staged mutation as one composed operation: body
-// runs as one enclosing transaction under the frame's budget (Fig. 5 —
-// elementary operations atomic through outheritance, flat nesting on
-// the classic engines). It reports whether the operation committed (see
-// MGet).
-func (f *Frame) composed(body func(stm.Tx) error, a0 uint64) bool {
+// runs as one enclosing transaction (Fig. 5 — elementary operations
+// atomic through outheritance, flat nesting on the classic engines).
+func (f *Frame) composed(body func(stm.Tx) error, a0 uint64) {
 	f.body = body
-	err := f.bounded(f.commitOp)
+	f.commit()
 	f.noteComposed(f.keys, a0)
 	f.keys = nil
-	return err == nil
 }
 
 // applyBody is the transactional body of the mutations whose effects are
@@ -333,19 +310,17 @@ func (f *Frame) applyBody() {
 // In unsound mode every entry is stored in its own transaction (and
 // logged as its own record — a crash between pieces leaves the tear on
 // disk, which is exactly what the crashtest ablation asserts the audits
-// catch). It reports whether it committed (see MGet).
-func (f *Frame) MPut(keys, vals []int64) bool {
+// catch).
+func (f *Frame) MPut(keys, vals []int64) {
 	if f.st.unsound {
-		return f.bounded(func() error {
-			for i, k := range keys {
-				f.Put(k, vals[i])
-			}
-			return nil
-		}) == nil
+		for i, k := range keys {
+			f.Put(k, vals[i])
+		}
+		return
 	}
 	a0 := f.th.Stats.Aborts
 	f.stage(classAbsolute, keys, vals)
-	return f.composed(f.applyFn, a0)
+	f.composed(f.applyFn, a0)
 }
 
 // CompareAndMove atomically relocates a value between keys — across
@@ -355,32 +330,28 @@ func (f *Frame) MPut(keys, vals []int64) bool {
 // Put children); in unsound mode the four elementary operations run as
 // separate transactions, so audits can observe the value in flight (or
 // duplicated) between them. It reports false both when the move was
-// refused and when the retry budget ran out (see MGet) — either way no
-// move happened.
+// refused and when the operation gave up (see Err).
 func (f *Frame) CompareAndMove(from, to, expect int64) bool {
 	if from == to {
 		return false
 	}
 	if f.st.unsound {
-		moved := false
-		_ = f.bounded(func() error {
-			if v, ok := f.Get(from); !ok || v != expect {
-				return nil
-			}
-			if _, occupied := f.Get(to); occupied {
-				return nil
-			}
-			f.Remove(from)
-			f.Put(to, expect)
-			moved = true
-			return nil
-		})
-		return moved
+		if v, ok := f.Get(from); !ok || v != expect {
+			return false
+		}
+		// A Get that gave up reads garbage: check before acting on either.
+		if _, occupied := f.Get(to); occupied || f.Err() != nil {
+			return false
+		}
+		f.Remove(from)
+		f.Put(to, expect)
+		return f.Err() == nil
 	}
 	a0 := f.th.Stats.Aborts
 	f.k1[0], f.k1[1] = from, to
 	f.class, f.keys, f.expect = classAbsolute, f.k1[:2], expect
-	return f.composed(f.camFn, a0) && len(f.effects) != 0
+	f.composed(f.camFn, a0)
+	return f.Err() == nil && len(f.effects) != 0
 }
 
 // camBody is the transactional body of CompareAndMove. Whether the move
@@ -411,39 +382,37 @@ func (f *Frame) camBody() {
 // feeds the escalation tracker, and crossing the threshold promotes the
 // key. In unsound mode the read and the write run as separate top-level
 // transactions, so a concurrent add between them is lost — the update
-// tear the counter-fanin checker catches. It reports whether it
-// committed (see MGet).
-func (f *Frame) Add(key, delta int64) bool {
+// tear the counter-fanin checker catches.
+func (f *Frame) Add(key, delta int64) {
 	f.k1[0], f.v1[0] = key, delta
-	return f.MAdd(f.k1[:1], f.v1[:1])
+	f.MAdd(f.k1[:1], f.v1[:1])
 }
 
 // MAdd atomically adds deltas[i] to the counter under keys[i] for every
 // entry, as one composition across shards — Add's two executions over N
 // keys, logged like MPut with delta effects. In unsound mode every entry
-// splits like unsound Add. deltas must be at least len(keys) long. It
-// reports whether it committed (see MGet).
-func (f *Frame) MAdd(keys, deltas []int64) bool {
+// splits like unsound Add. deltas must be at least len(keys) long.
+func (f *Frame) MAdd(keys, deltas []int64) {
 	s := f.st
 	s.adds.Add(uint64(len(keys)))
 	if s.unsound {
-		return f.bounded(func() error {
-			for i, k := range keys {
-				v, _ := f.Get(k)
-				f.Put(k, v+deltas[i])
+		for i, k := range keys {
+			v, _ := f.Get(k)
+			if f.Err() != nil {
+				return // v is garbage
 			}
-			return nil
-		}) == nil
+			f.Put(k, v+deltas[i])
+		}
+		return
 	}
 	if len(keys) == 0 {
-		return true
+		return
 	}
 	a0 := f.th.Stats.Aborts
 	f.stage(classDelta, keys, deltas)
-	ok := f.composed(f.applyFn, a0)
-	if ok && !f.fused && len(keys) == 1 && s.boostMode == BoostAuto &&
+	f.composed(f.applyFn, a0)
+	if f.Err() == nil && !f.fused && len(keys) == 1 && s.boostMode == BoostAuto &&
 		s.trackAdd(keys[0], f.th.Stats.Aborts-a0) {
 		s.promote(keys[0])
 	}
-	return ok
 }

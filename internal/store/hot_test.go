@@ -56,8 +56,8 @@ func TestAddConformance(t *testing.T) {
 				s := New(Config{Shards: 8, Boost: mode})
 				f := s.NewFrame(stm.NewThread(eng.newi()))
 
-				if !f.Add(1, 5) {
-					t.Fatal("Add did not commit")
+				if f.Add(1, 5); f.Err() != nil {
+					t.Fatal("Add gave up")
 				}
 				if v, ok := f.Get(1); !ok || v != 5 {
 					t.Fatalf("Get(1) = %d,%v want 5,true (add must create)", v, ok)
@@ -69,8 +69,8 @@ func TestAddConformance(t *testing.T) {
 
 				vals := make([]int64, 2)
 				oks := make([]bool, 2)
-				if !f.MGet([]int64{1, 2}, vals, oks) {
-					t.Fatal("MGet did not commit")
+				if f.MGet([]int64{1, 2}, vals, oks); f.Err() != nil {
+					t.Fatal("MGet gave up")
 				}
 				if vals[0] != 3 || !oks[0] || oks[1] {
 					t.Fatalf("MGet = %v %v want [3 _] [true false]", vals, oks)
@@ -101,8 +101,8 @@ func TestAddConformance(t *testing.T) {
 
 				// Composed deltas, including a zero-sum transfer and
 				// duplicate keys in one batch.
-				if !f.MAdd([]int64{2, 3}, []int64{10, -4}) {
-					t.Fatal("MAdd did not commit")
+				if f.MAdd([]int64{2, 3}, []int64{10, -4}); f.Err() != nil {
+					t.Fatal("MAdd gave up")
 				}
 				if v, _ := f.Get(2); v != 10 {
 					t.Fatalf("Get(2) = %d want 10", v)
@@ -121,8 +121,8 @@ func TestAddConformance(t *testing.T) {
 				if v, _ := f.Get(7); v != 3 {
 					t.Fatalf("duplicate-key MAdd: Get(7) = %d want 3", v)
 				}
-				if f.MAdd(nil, nil) != true {
-					t.Fatal("empty MAdd must commit")
+				if f.MAdd(nil, nil); f.Err() != nil {
+					t.Fatal("empty MAdd gave up")
 				}
 
 				// CompareAndMove sees and moves the counter's full value.
@@ -350,8 +350,8 @@ func TestConcurrentAddsExactSum(t *testing.T) {
 						defer adders.Done()
 						f := s.NewFrame(stm.NewThread(tm))
 						for i := 0; i < perWorker; i++ {
-							if !f.Add(key, 1) {
-								t.Error("Add did not commit")
+							if f.Add(key, 1); f.Err() != nil {
+								t.Error("Add gave up")
 								return
 							}
 						}
@@ -425,8 +425,8 @@ func TestMAddZeroSumInvariant(t *testing.T) {
 						d := int64(rng.Intn(9) + 1)
 						pair[0], pair[1] = keys[a], keys[b]
 						delta[0], delta[1] = d, -d
-						if !f.MAdd(pair, delta) {
-							t.Error("MAdd did not commit")
+						if f.MAdd(pair, delta); f.Err() != nil {
+							t.Error("MAdd gave up")
 							return
 						}
 					}
@@ -445,8 +445,8 @@ func TestMAddZeroSumInvariant(t *testing.T) {
 						return
 					default:
 					}
-					if !f.MGet(keys, vals, oks) {
-						t.Error("MGet did not commit")
+					if f.MGet(keys, vals, oks); f.Err() != nil {
+						t.Error("MGet gave up")
 						return
 					}
 					var sum int64
@@ -510,8 +510,8 @@ func TestMGetPromotionRaceConsistentCut(t *testing.T) {
 					pair := []int64{a, b}
 					delta := []int64{7, -7}
 					for i := 0; i < transfers; i++ {
-						if !f.MAdd(pair, delta) {
-							t.Error("MAdd did not commit")
+						if f.MAdd(pair, delta); f.Err() != nil {
+							t.Error("MAdd gave up")
 							return
 						}
 					}
@@ -522,8 +522,8 @@ func TestMGetPromotionRaceConsistentCut(t *testing.T) {
 						stop = true
 					default:
 					}
-					if !audit.MGet([]int64{a, b}, vals, oks) {
-						t.Fatal("MGet did not commit")
+					if audit.MGet([]int64{a, b}, vals, oks); audit.Err() != nil {
+						t.Fatal("MGet gave up")
 					}
 					if sum := vals[0] + vals[1]; sum != 1000 {
 						t.Fatalf("round %d: audit sum = %d, want 1000 (torn MAdd through a mid-promotion key)", r, sum)
@@ -549,7 +549,8 @@ func TestMGetPromotionRaceConsistentCut(t *testing.T) {
 func TestAbsoluteWriteReplayEquivalence(t *testing.T) {
 	const big = int64(1) << 20
 	mput := func(f *Frame, k, partner int64) bool {
-		return f.MPut([]int64{k, partner}, []int64{big, 2 * big})
+		f.MPut([]int64{k, partner}, []int64{big, 2 * big})
+		return f.Err() == nil
 	}
 	// The move needs the counter's current value, which the adders keep
 	// changing: retry until one read-then-move pair lands between adds.
@@ -624,8 +625,8 @@ func TestAbsoluteWriteReplayEquivalence(t *testing.T) {
 									if c.hotPartner && (a+n)%2 == 1 {
 										target = partner
 									}
-									if !f.Add(target, 1) {
-										t.Error("Add did not commit")
+									if f.Add(target, 1); f.Err() != nil {
+										t.Error("Add gave up")
 										return
 									}
 								}

@@ -115,10 +115,6 @@ func New(cfg Config) *Store {
 // Shards returns the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
 
-// Unsound reports whether composed operations are (deliberately) split
-// into separate transactions.
-func (s *Store) Unsound() bool { return s.unsound }
-
 // ShardOf returns the shard index serving key.
 func (s *Store) ShardOf(key int64) int {
 	if len(s.shards) == 1 {

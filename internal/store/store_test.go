@@ -6,14 +6,18 @@
 package store
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"oestm/internal/core"
 	"oestm/internal/lsa"
 	"oestm/internal/stm"
+	"oestm/internal/stmtest"
 	"oestm/internal/swisstm"
 	"oestm/internal/tl2"
+	"oestm/internal/wal"
 )
 
 // engines is every STM engine, including the non-outheriting ablation.
@@ -216,5 +220,78 @@ func TestStoreAllocsSteadyState(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFrameGivesUpTyped wedges every engine under a frame whose thread is
+// bounded at 8 attempts: each operation, elementary or composed, must give
+// up with a *stm.RetryExhaustedError in Frame.Err, append no log record
+// and change no key; once cleared and un-wedged, the frame serves again.
+func TestFrameGivesUpTyped(t *testing.T) {
+	for _, eng := range engines() {
+		for _, withWAL := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/wal=%v", eng.name, withWAL), func(t *testing.T) {
+				cfg := Config{Shards: 8}
+				if withWAL {
+					log, _, err := wal.Open(t.TempDir(), wal.Options{Shards: 8})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer log.Close()
+					cfg.WAL = log
+				}
+				s := New(cfg)
+				tm := &stmtest.WedgingTM{TM: eng.newi()}
+				th := stm.NewThread(tm)
+				th.MaxRetries = 8
+				f := s.NewFrame(th)
+				keys := []int64{1, 2, 3, 4, 100}
+				vals, oks := make([]int64, len(keys)), make([]bool, len(keys))
+				f.MPut(keys[:4], []int64{10, 20, 30, 40})
+				dump := func() string {
+					f.MGet(keys, vals, oks)
+					return fmt.Sprint(vals, oks, f.Err())
+				}
+				before := dump()
+				appends := s.WAL().Stats().Appends
+
+				tm.Wedged.Store(true)
+				for _, op := range []struct {
+					name string
+					do   func()
+				}{
+					{"get", func() { f.Get(1) }},
+					{"put", func() { f.Put(1, 999) }},
+					{"remove", func() { f.Remove(3) }},
+					{"mget", func() { f.MGet(keys, vals, oks) }},
+					{"mput", func() { f.MPut([]int64{1, 2}, []int64{7, 7}) }},
+					{"cam", func() {
+						if f.CompareAndMove(1, 100, 10) {
+							t.Error("cam reported a move it gave up on")
+						}
+					}},
+					{"add", func() { f.Add(2, 5) }},
+					{"madd", func() { f.MAdd([]int64{3, 4}, []int64{1, 1}) }},
+				} {
+					op.do()
+					var re *stm.RetryExhaustedError
+					if err := f.Err(); !errors.As(err, &re) {
+						t.Errorf("%s on a wedged engine: Err() = %v, want a *stm.RetryExhaustedError", op.name, err)
+					}
+					f.ClearErr()
+				}
+				if got := s.WAL().Stats().Appends; got != appends {
+					t.Errorf("operations that gave up appended %d log records", got-appends)
+				}
+
+				tm.Wedged.Store(false)
+				if after := dump(); after != before {
+					t.Errorf("keyspace changed by operations that gave up: %s, was %s", after, before)
+				}
+				if f.Put(100, 1); f.Err() != nil {
+					t.Errorf("put after un-wedging: %v", f.Err())
+				}
+			})
+		}
 	}
 }

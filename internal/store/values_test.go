@@ -39,8 +39,8 @@ func exerciseValues(t *testing.T, f *Frame, base int64, model map[int64]int64) {
 		if got, ok := f.Remove(moved); !ok || got != v {
 			t.Fatalf("Remove(%d) = %d,%v want %d,true", moved, got, ok, v)
 		}
-		if !f.Add(added, v) {
-			t.Fatalf("Add(%d, %d) did not commit", added, v)
+		if f.Add(added, v); f.Err() != nil {
+			t.Fatalf("Add(%d, %d) gave up", added, v)
 		}
 		if got, ok := f.Get(added); !ok || got != v {
 			t.Fatalf("Add from absent: Get(%d) = %d,%v want %d,true", added, got, ok, v)
@@ -50,8 +50,9 @@ func exerciseValues(t *testing.T, f *Frame, base int64, model map[int64]int64) {
 		}
 		model[k], model[added] = v, v
 	}
-	if !f.MPut(mkeys, valueDomain) || !f.MAdd(akeys, valueDomain) {
-		t.Fatal("MPut/MAdd did not commit")
+	f.MPut(mkeys, valueDomain)
+	if f.MAdd(akeys, valueDomain); f.Err() != nil {
+		t.Fatal("MPut/MAdd gave up")
 	}
 	vals, oks := make([]int64, 2*n), make([]bool, 2*n)
 	f.MGet(append(mkeys, akeys...), vals, oks)

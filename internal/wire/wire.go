@@ -102,10 +102,11 @@ const (
 	// ErrKeyRange: a key equal to one of the two int64 sentinels the
 	// store reserves.
 	ErrKeyRange
-	// ErrRetryExhausted: the server's per-request transaction retry
-	// budget ran out (the store stayed unchanged).
+	// ErrRetryExhausted: a transaction of the request ran out of the
+	// server's retry bound (a sound store stayed unchanged).
 	ErrRetryExhausted
-	// ErrShuttingDown: the server is draining and rejected new work.
+	// ErrShuttingDown: the server is draining and rejected new work, or
+	// cancelled a request still retrying when its drain deadline passed.
 	ErrShuttingDown
 	// ErrDurability: the server's write-ahead log failed; mutations are
 	// no longer durable and are refused (the sticky condition persists
