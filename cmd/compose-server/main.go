@@ -22,10 +22,11 @@
 // wedge a connection.
 //
 // -wal-dir makes the store durable: every acknowledged mutation is
-// group-committed to a per-shard write-ahead log (internal/wal) before
-// the response leaves the server, and a restart pointed at the same
-// directory replays the log (and any -snapshot-every checkpoints) back
-// into the shards before accepting connections. -fsync=false trades
+// group-committed to a write-ahead log (internal/wal) before the
+// response leaves the server, and a restart pointed at the same
+// directory replays the log (and any -snapshot-every checkpoint) back
+// into the shards before accepting connections; a directory in an older
+// log format is refused with an error and a non-zero exit. -fsync=false trades
 // power-loss durability for throughput while remaining crash-safe
 // against SIGKILL.
 //

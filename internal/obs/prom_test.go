@@ -52,7 +52,7 @@ func goldenPayload() *wire.StatsPayload {
 	for i := range p.ShardStats {
 		p.ShardStats[i] = wire.ShardTelemetry{
 			Ops: uint64(9000 + i), Aborts: uint64(10 * i),
-			HotKeys: uint64(i % 2), WALBytes: uint64(1 << (10 + i)),
+			HotKeys: uint64(i % 2),
 		}
 	}
 	return p
@@ -202,7 +202,6 @@ func TestMetricsKeySeries(t *testing.T) {
 		`compose_shard_ops_total{shard="3"} 9003`,
 		`compose_shard_aborts_total{shard="2"} 20`,
 		`compose_shard_hot_keys{shard="1"} 1`,
-		`compose_shard_wal_bytes_total{shard="0"} 1024`,
 		"compose_abort_events_recorded_total 0",
 		"go_goroutines ",
 		`compose_build_info{go_version=`,

@@ -57,8 +57,8 @@ type Config struct {
 	Boost store.BoostMode
 	// MaxBody caps accepted frame bodies (0 = wire.MaxBody).
 	MaxBody int
-	// WALDir, when non-empty, makes the store durable: a per-shard
-	// write-ahead log in that directory (created if needed), recovered
+	// WALDir, when non-empty, makes the store durable: a write-ahead
+	// log in that directory (created if needed), recovered
 	// into the store before the listener opens and flushed on Shutdown.
 	WALDir string
 	// Fsync makes every WAL group commit fsync before acknowledging
@@ -66,7 +66,7 @@ type Config struct {
 	// not power loss.
 	Fsync bool
 	// SnapshotEvery, when positive, writes a snapshot generation at that
-	// period (WALDir only) — a replay accelerator; logs are kept whole.
+	// period (WALDir only) — a replay accelerator; the log is kept whole.
 	SnapshotEvery time.Duration
 	// Exec selects the execution model: ExecConn (default, also "")
 	// serves each connection on its own goroutine; ExecBatch runs the
@@ -187,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 
 // Recovery returns the WAL replay that seeded the store at New (nil
 // without Config.WALDir): startup logging and the crash-recovery tests
-// read the torn-tail and rollback details from it.
+// read the torn-tail details from it.
 func (s *Server) Recovery() *wal.Replay { return s.recovery }
 
 // Store exposes the server's store (in-process harnesses and tests).
@@ -418,18 +418,12 @@ func (s *Server) statsPayload(p *wire.StatsPayload) {
 		p.SpecValidationFails = ss.ValidationFails
 		p.AddSTM(s.batch.threadStats())
 	}
-	// Per-shard telemetry: the store's padded per-shard counters plus the
-	// WAL's per-shard byte counters (zero without a log).
+	// Per-shard telemetry: the store's padded per-shard counters.
 	shards := s.st.Shards()
 	p.ShardStats = make([]wire.ShardTelemetry, shards)
 	for i := 0; i < shards; i++ {
 		ops, aborts, hot := s.st.ShardCounters(i)
-		p.ShardStats[i] = wire.ShardTelemetry{
-			Ops:      ops,
-			Aborts:   aborts,
-			HotKeys:  hot,
-			WALBytes: s.wlog.ShardBytes(i), // zero on nil receiver
-		}
+		p.ShardStats[i] = wire.ShardTelemetry{Ops: ops, Aborts: aborts, HotKeys: hot}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

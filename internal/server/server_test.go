@@ -3,10 +3,13 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"math/rand/v2"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,6 +21,7 @@ import (
 	"oestm/internal/stm"
 	"oestm/internal/swisstm"
 	"oestm/internal/tl2"
+	"oestm/internal/wal"
 	"oestm/internal/wire"
 )
 
@@ -543,6 +547,25 @@ func TestNewValidates(t *testing.T) {
 	}
 	if _, err := New(Config{Engine: "oestm", NewTM: func() stm.TM { return core.New() }, CM: "bogus"}); err == nil {
 		t.Fatal("unknown cm accepted")
+	}
+}
+
+// TestOldWALDirRefused: a WAL directory in the per-shard format is
+// refused at New with the log's typed *wal.VersionError (which
+// compose-server prints before exiting non-zero), and left as it was.
+func TestOldWALDirRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "shard-0000.wal")
+	if err := os.WriteFile(old, []byte{1, 2, 3}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{Engine: "oestm", NewTM: func() stm.TM { return core.New() }, WALDir: dir})
+	var ve *wal.VersionError
+	if !errors.As(err, &ve) {
+		t.Fatalf("New on an old-format WAL dir: err = %v, want a *wal.VersionError", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("the refused directory now holds %d entries", len(entries))
 	}
 }
 

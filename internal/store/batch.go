@@ -13,15 +13,10 @@ import (
 const applyChunk = 64
 
 // group is one staged effect group of a batch — a transaction's
-// validated write set: its effects (an [lo:hi) window of the Applier's
-// effects arena — indices, not pointers, so arena growth cannot dangle),
-// the coordinator (its lowest participant shard), and, for a group of
-// more than one effect, the transaction id allocated under the
-// participants' commit locks.
+// validated write set: its effects, an [lo:hi) window of the Applier's
+// effects arena (indices, not pointers, so arena growth cannot dangle).
 type group struct {
-	txid   uint64
 	lo, hi int32
-	coord  int
 }
 
 // applyRun is one worker slot's pre-bound apply context: the thread,
@@ -55,15 +50,13 @@ func (b *BaseReader) ReadBase(key int64) (int64, bool) {
 // Applier commits validated specexec batches into the store and its
 // WAL: specexec.Committer over per-shard parallel jobs, walking the
 // commit pipeline (commit.go) once per batch instead of once per
-// operation. It takes every touched shard's commit lock at once,
-// allocates composition transaction ids in batch order under those
-// locks, lets the shard jobs apply state and append records
-// independently, then releases the locks and group-commits each shard.
+// operation. It takes every touched shard's commit lock at once, lets
+// the shard jobs apply state independently, appends one record per group
+// in batch order, then releases the locks and group-commits the log.
 // Holding all the locks across the whole commit phase gives batch mode
-// the exact invariants recovery relies on: per-shard log order equals
-// commit order equals batch order, id order matches log order on shards
-// two compositions share, and a snapshot (which also takes all locks)
-// can never cut through half a composition's evidence.
+// the invariant recovery relies on: each shard's log order equals its
+// commit order equals batch order, and a snapshot (which also takes all
+// locks) falls between batches.
 //
 // Methods must be called in the specexec.Committer sequence; Begin,
 // Stage, Jobs and Finish run on the dispatcher, RunJob on the worker
@@ -78,7 +71,6 @@ type Applier struct {
 	touched []int     // ascending — the lock acquisition order
 	groups  []group
 	effects []wal.Effect // arena the groups' windows index into
-	seqs    []uint64     // per-touched-shard sync targets
 	walErr  error        // sticky first log I/O error (see WALErr)
 }
 
@@ -132,10 +124,9 @@ func (a *Applier) Begin(int) {
 }
 
 // Stage buckets transaction i's validated write set onto its shards, in
-// batch order, as one effect group — logged by the same rule as a
-// conn-mode operation with the same effects (appendRecords). In unsound
-// mode every write is its own group, preserving the crash-tearing
-// ablation on disk.
+// batch order, as one effect group — logged as one record, like a
+// conn-mode operation with the same effects. In unsound mode every write
+// is its own group, preserving the crash-tearing ablation on disk.
 func (a *Applier) Stage(_ int, writes []specexec.WriteDesc) {
 	if a.st.unsound {
 		for j := range writes {
@@ -152,12 +143,11 @@ func (a *Applier) stage(writes []specexec.WriteDesc) {
 		return
 	}
 	s := a.st
-	g := group{lo: int32(len(a.effects)), coord: len(s.shards)}
+	g := group{lo: int32(len(a.effects))}
 	gi := int32(len(a.groups))
 	for _, w := range writes {
 		sh := s.ShardOf(w.Key)
 		a.effects = append(a.effects, wal.Effect{Remove: w.Remove, Delta: w.Delta, Shard: sh, Key: w.Key, Val: w.Val})
-		g.coord = min(g.coord, sh)
 		// Per-shard telemetry: batch mode counts the committed write set
 		// (speculative reads and re-executions don't route to shards in
 		// any attributable way; conn mode counts every key-operation).
@@ -174,29 +164,16 @@ func (a *Applier) stage(writes []specexec.WriteDesc) {
 	a.groups = append(a.groups, g)
 }
 
-// Jobs locks every touched shard and allocates the batch's composition
-// transaction ids in batch order under those locks, then reports the
-// job count — one job per touched shard.
+// Jobs locks every touched shard and reports the job count — one job
+// per touched shard.
 func (a *Applier) Jobs() int {
 	a.st.lockShards(a.touched)
-	if w := a.st.wal; w != nil {
-		for i := range a.groups {
-			if g := &a.groups[i]; g.hi-g.lo > 1 {
-				g.txid = w.NextTxID()
-			}
-		}
-	}
-	a.seqs = a.seqs[:0]
-	for range a.touched {
-		a.seqs = append(a.seqs, 0)
-	}
 	return len(a.touched)
 }
 
 // RunJob applies job's shard: state mutations in staged (= batch)
 // order through chunked flat-nested transactions on the worker slot's
-// thread, then the shard's log records in the same order under the
-// already-held commit lock.
+// thread, under the already-held commit lock.
 func (a *Applier) RunJob(worker, job int) {
 	sh := a.touched[job]
 	on := a.staged[sh]
@@ -207,12 +184,6 @@ func (a *Applier) RunJob(worker, job int) {
 		_ = r.th.Atomic(r.kind, r.fn)
 	}
 	r.groups = nil
-	if a.st.wal != nil {
-		for _, gi := range on {
-			g := &a.groups[gi]
-			a.seqs[job] = a.st.appendRecords(sh, g.coord, g.txid, a.effects[g.lo:g.hi])
-		}
-	}
 }
 
 // applyBody applies one chunk of the current shard job — each group's
@@ -233,10 +204,17 @@ func (r *applyRun) applyBody() {
 	}
 }
 
-// Finish releases the commit locks and group-commits every touched
-// shard through its sync target. It runs on the dispatcher, so the
-// sticky error is visible to the Done callbacks that follow it.
+// Finish appends one record per group, in batch order, before it
+// releases the commit locks, then group-commits the log through the last
+// one. It runs on the dispatcher, so the sticky error is visible to the
+// Done callbacks that follow it.
 func (a *Applier) Finish() {
+	var seq uint64
+	if w := a.st.wal; w != nil {
+		for _, g := range a.groups {
+			seq = w.Append(a.effects[g.lo:g.hi])
+		}
+	}
 	a.st.unlockShards(a.touched)
-	a.st.syncShards(a.touched, a.seqs, &a.walErr)
+	a.st.sync(seq, &a.walErr)
 }

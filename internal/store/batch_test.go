@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,8 +37,8 @@ func sameShardKeys(s *Store, n int) []int64 {
 // TestApplierSameShardGroupTornTail is the state-in/state-out recovery
 // table for the one record-shape rule: seed four same-shard keys, commit
 // ONE multi-key write set through the batch Applier with a WAL, then
-// recover from the shard file truncated at every byte offset inside that
-// group's records (a torn tail, or the landed prefix of a partial
+// recover from the log file truncated at every byte offset inside that
+// group's record (a torn tail, or the landed prefix of a partial
 // write(2)). The recovered keys must be exactly the seed state or exactly
 // the committed state — never a prefix of the group. A write set whose
 // keys share a shard used to be logged as independent plain records, so
@@ -71,7 +70,7 @@ func TestApplierSameShardGroupTornTail(t *testing.T) {
 			s := New(Config{Shards: 4, WAL: log})
 			a := NewApplier(s, 1, func() *stm.Thread { return stm.NewThread(tm) })
 			keys := sameShardKeys(s, 4)
-			file := filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", s.ShardOf(keys[0])))
+			file := filepath.Join(dir, "log.wal")
 
 			for _, k := range keys { // seed: four independent transactions
 				commitBatch(a, []specexec.WriteDesc{{Key: k, Val: seed}})

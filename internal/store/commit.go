@@ -14,8 +14,8 @@ import (
 //
 //	resolve hot counters → (any involved: acquire their abstract locks in
 //	one boosted transaction) → commit locks ascending, promotions
-//	re-checked under them → body → effects to records → unlock descending
-//	→ group-commit wait
+//	re-checked under them → body → effects to one record → unlock
+//	descending → group-commit wait
 //
 // ARCHITECTURE.md ("Commit pipeline") tabulates, per opcode, the
 // linearization step, the locks held at it and the record shape. The
@@ -86,53 +86,19 @@ func (s *Store) apply(th *stm.Thread, ef *wal.Effect) (old int64, ok bool) {
 	return m.Put(th, int(ef.Key), ef.Val)
 }
 
-// appendRecords appends shard sh's share of one committed effect group's
-// records and returns sh's sync target (0 = nothing appended). This is
-// the one record-shape rule: no effect, nothing; one effect, the plain
-// put/remove/add record on its shard; more than one, the intent (full
-// effect list) on every participant and the commit marker on coord, the
-// lowest participant — whatever the shard count, so a torn tail can
-// never surface a prefix of a composition. The caller holds every
-// participant's commit lock and allocated txid under them.
+// sync group-commits the log through seq (0 = nothing appended), after
+// the commit locks are released (a flush under them would stall their
+// shards behind the I/O), and records the first I/O error in *sticky:
+// once set, acknowledged mutations may not be durable and the server
+// answers with a typed durability error instead of success.
 //
 //compose:noalloc
-func (s *Store) appendRecords(sh, coord int, txid uint64, effects []wal.Effect) uint64 {
-	w := s.wal
-	switch len(effects) {
-	case 0:
-		return 0
-	case 1:
-		ef := &effects[0] // its shard is the only participant
-		switch {
-		case ef.Delta:
-			return w.AppendAdd(sh, ef.Key, ef.Val)
-		case ef.Remove:
-			return w.AppendRemove(sh, ef.Key)
-		}
-		return w.AppendPut(sh, ef.Key, ef.Val)
+func (s *Store) sync(seq uint64, sticky *error) {
+	if seq == 0 {
+		return
 	}
-	seq := w.AppendIntent(sh, txid, effects)
-	if sh == coord {
-		seq = w.AppendCommit(sh, txid)
-	}
-	return seq
-}
-
-// syncShards group-commits shards[i] through seqs[i] (0, or no seqs at
-// all, = nothing to wait for), after the commit locks are released (wal.Log.Sync must not
-// run under them), and records the first I/O error in *sticky: once set,
-// acknowledged mutations may not be durable and the server answers with
-// a typed durability error instead of success.
-//
-//compose:noalloc
-func (s *Store) syncShards(shards []int, seqs []uint64, sticky *error) {
-	for i, seq := range seqs {
-		if seq == 0 {
-			continue
-		}
-		if err := s.wal.Sync(shards[i], seq); err != nil && *sticky == nil {
-			*sticky = err
-		}
+	if err := s.wal.Sync(0, seq); err != nil && *sticky == nil {
+		*sticky = err
 	}
 }
 
@@ -216,8 +182,8 @@ func (f *Frame) acquire(tx *boost.Tx) error {
 // promoted reports whether a key resolve saw cold has been promoted
 // since. Absolute operations ask under the commit locks: overlay
 // mutations and add records both require the commit lock, so a key still
-// cold there cannot get an add record before the operation's own records
-// land (without a log there is no such lock and the check only narrows
+// cold there cannot get an add record before the operation's own record
+// lands (without a log there is no such lock and the check only narrows
 // the window). Reads ask once their abstract locks are held: a key
 // promoted in between may already hold half of a completed composed
 // MAdd whose other half sits in a locked sibling's overlay.
@@ -233,14 +199,14 @@ func (f *Frame) promoted() bool {
 }
 
 // commit pushes the staged mutation through the pipeline and waits for
-// its records to be durable. If it gives up (see Err), the mutation did
+// its record to be durable. If it gives up (see Err), the mutation did
 // not happen: at most, hot counters were folded back into their bases,
 // which changes no key's value.
 //
 //compose:noalloc
 func (f *Frame) commit() {
 	s := f.st
-	f.wShards, f.wSeqs = f.wShards[:0], f.wSeqs[:0]
+	f.wShards, f.wSeq = f.wShards[:0], 0
 	if s.wal != nil {
 		for _, k := range f.keys {
 			f.wShards = insertShard(f.wShards, s.ShardOf(k))
@@ -270,7 +236,7 @@ func (f *Frame) commit() {
 	if f.fused && f.class == classDelta {
 		s.boostedOps.Add(uint64(len(f.keys)))
 	}
-	s.syncShards(f.wShards, f.wSeqs, &f.walErr)
+	s.sync(f.wSeq, &f.walErr)
 }
 
 // fusedBody is commit's boosted transaction: every abstract lock is held
@@ -286,7 +252,7 @@ func (f *Frame) fusedBody(tx *boost.Tx) error {
 }
 
 // locked is the pipeline's critical section: commit locks, re-check,
-// body, records, unlock.
+// body, the one record, unlock.
 //
 //compose:noalloc
 func (f *Frame) locked() error {
@@ -294,13 +260,7 @@ func (f *Frame) locked() error {
 	s.lockShards(f.wShards)
 	err := f.mutate()
 	if err == nil && s.wal != nil && len(f.effects) != 0 {
-		var txid uint64
-		if len(f.effects) > 1 {
-			txid = s.wal.NextTxID()
-		}
-		for _, sh := range f.wShards {
-			f.wSeqs = append(f.wSeqs, s.appendRecords(sh, f.wShards[0], txid, f.effects))
-		}
+		f.wSeq = s.wal.Append(f.effects)
 	}
 	s.unlockShards(f.wShards)
 	return err

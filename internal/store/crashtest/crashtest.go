@@ -145,7 +145,7 @@ func Recovered(engine, dir string) (*store.Frame, *wal.Replay, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	st := store.New(store.Config{Shards: len(rp.Shards)})
+	st := store.New(store.Config{Shards: rp.Shards})
 	th := stm.NewThread(eng.New())
 	st.Recover(th, rp)
 	return st.NewFrame(th), rp, nil
@@ -179,12 +179,6 @@ func AuditTokens(f *store.Frame, keys int) (violations, present int) {
 	return violations, present
 }
 
-// KeptRecords sums the surviving log records across shards — the
-// non-vacuity check: a crash audit over an empty log proves nothing.
-func KeptRecords(rp *wal.Replay) int {
-	n := 0
-	for i := range rp.Shards {
-		n += rp.Shards[i].Keep
-	}
-	return n
-}
+// KeptRecords counts the surviving log records — the non-vacuity
+// check: a crash audit over an empty log proves nothing.
+func KeptRecords(rp *wal.Replay) int { return len(rp.Records) }

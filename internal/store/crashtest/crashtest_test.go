@@ -241,7 +241,7 @@ func TestCrashRecoveryComposingEngines(t *testing.T) {
 				t.Errorf("%d torn states observed live on a composing engine", live)
 			}
 			if rec != 0 {
-				t.Errorf("%d violations in the recovered keyspace (aborted compositions: %d)", rec, len(rp.Aborted))
+				t.Errorf("%d violations in the recovered keyspace (%s)", rec, rp.Summary())
 			}
 		})
 	}

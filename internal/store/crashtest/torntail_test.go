@@ -1,14 +1,12 @@
 // Torn-tail injection on top of a real crash: after the SIGKILL,
-// corrupt the logs the way a dying disk or an interrupted write(2)
-// would — slice bytes off one shard's tail, flip a bit in another's —
-// and require recovery to stop cleanly at the last valid commit with a
-// typed error, still satisfying the workload invariant (the
-// consistent-cut rollback may discard unacknowledged suffixes, never
-// conservation).
+// corrupt the log the way a dying disk or an interrupted write(2)
+// would — slice bytes off its tail, flip a bit inside it — and require
+// recovery to stop cleanly at the last valid record with a typed error,
+// still satisfying the workload invariant (the cut may discard records,
+// never conservation: every move is one record).
 package crashtest
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,10 +25,9 @@ func TestTornTailAfterCrash(t *testing.T) {
 	}
 	// Post-seed traffic: shuttle every token between its even home and
 	// the odd slot next door, so each round relocates all of them and
-	// every shard's file grows well past the seeds. Seeds therefore sit
-	// at the front of every file and the injected cuts (and the rollback
-	// cascade, which only ever cuts at intents) reach move records alone
-	// — conservation stays exactly auditable.
+	// the log grows well past the seeds. Seeds therefore sit at the front
+	// of the file and the injected cuts reach move records alone —
+	// conservation stays exactly auditable.
 	moved := 0
 	for round := 0; round < 12; round++ {
 		for k := 0; k < keys; k += 2 {
@@ -53,53 +50,36 @@ func TestTornTailAfterCrash(t *testing.T) {
 	seeder.Close()
 	ch.kill()
 
-	// Injection 1: tear the largest shard file mid-record.
-	var largest string
-	var largestSize int64
-	for i := 0; i < 8; i++ {
-		path := filepath.Join(dir, walShardFile(i))
-		if info, err := os.Stat(path); err == nil && info.Size() > largestSize {
-			largest, largestSize = path, info.Size()
-		}
-	}
-	if largestSize < 16 {
-		t.Fatalf("no shard file grew (largest %d bytes)", largestSize)
-	}
-	if err := os.Truncate(largest, largestSize-5); err != nil {
+	// Injection 1: tear the log mid-record, as an interrupted write(2)
+	// would.
+	path := filepath.Join(dir, walFile)
+	info, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Injection 2: flip a bit in the final record of another shard.
-	for i := 0; i < 8; i++ {
-		path := filepath.Join(dir, walShardFile(i))
-		if path == largest {
-			continue
-		}
-		data, err := os.ReadFile(path)
-		if err != nil || len(data) < 16 {
-			continue
-		}
-		data[len(data)-1] ^= 0x20
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		break
+	if info.Size() < 1024 {
+		t.Fatalf("the log did not grow (%d bytes)", info.Size())
+	}
+	if err := os.Truncate(path, info.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	// Injection 2: flip a bit three quarters of the way in, as a dying
+	// disk would; the cut then lands there, well past the seeds.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)*3/4] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	f, rp, err := Recovered("oestm", dir)
 	if err != nil {
 		t.Fatalf("recover after injection: %v", err)
 	}
-	torn := 0
-	for i := range rp.Shards {
-		if ce := rp.Shards[i].Torn; ce != nil {
-			torn++
-			if ce.Shard != i || ce.Reason == "" {
-				t.Errorf("shard %d: malformed corruption report %+v", i, ce)
-			}
-		}
-	}
-	if torn == 0 {
-		t.Fatal("injected corruption went unreported")
+	if ce := rp.Torn; ce == nil || ce.Reason == "" || ce.Off > int64(len(data)*3/4) {
+		t.Fatalf("injected corruption misreported: %+v", ce)
 	}
 	// Every seed was acknowledged before the first move, so the cuts can
 	// never reach them: at minimum the full token population survives.
@@ -111,9 +91,7 @@ func TestTornTailAfterCrash(t *testing.T) {
 	}
 }
 
-// walShardFile mirrors internal/wal's shard file naming (the injection
-// has to find the files; pinning the name here means a rename breaks
-// this test loudly, not silently).
-func walShardFile(i int) string {
-	return fmt.Sprintf("shard-%04d.wal", i)
-}
+// walFile mirrors internal/wal's log file name (the injection has to
+// find the file; pinning the name here means a rename breaks this test
+// loudly, not silently).
+const walFile = "log.wal"

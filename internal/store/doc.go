@@ -36,8 +36,11 @@
 // promoted counter (hot.go), logged or not, issued by a Frame or committed
 // by the batch Applier — walks one commit pipeline (commit.go): resolve
 // hot counters, take their abstract locks, take the shards' commit locks
-// in ascending order, run the body, turn the effect list into log
-// records by one rule, unlock, wait for group commit.
+// in ascending order, run the body, append the effect list to the one
+// write-ahead log as one record, unlock, wait for group commit. Because a
+// composed mutation is one record whichever shards it spans, a restart
+// replays the log's longest valid prefix and the recovered keyspace is
+// the state after some prefix of the commits — never half a composition.
 //
 // A Frame's thread carries the one retry bound (stm.Thread.MaxRetries,
 // 0 = unbounded): it covers every transaction of every operation,

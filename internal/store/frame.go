@@ -36,7 +36,7 @@ type Frame struct {
 	// (commit.go) and the read path walk: its class and keys, the hot
 	// counters resolve found for them, and for mutations the pre-bound
 	// transaction body (nil = the single effect is an elementary eec
-	// operation) and the effect list that becomes the log records.
+	// operation) and the effect list that becomes the log record.
 	class   opClass
 	keys    []int64
 	hcs     []*hotCounter
@@ -60,11 +60,12 @@ type Frame struct {
 	readFn, applyFn, camFn, foldFn func(stm.Tx) error
 	fusedFn, fusedReadFn           func(*boost.Tx) error
 
-	// WAL scratch (reused across operations so the logging path stays
-	// allocation-free once grown): the sorted unique participant shards
-	// of the mutation in flight and their sync targets.
+	// WAL state of the mutation in flight: its sorted unique participant
+	// shards (scratch reused across operations, so the logging path stays
+	// allocation-free once grown) and its record's sequence, the sync
+	// target.
 	wShards []int
-	wSeqs   []uint64
+	wSeq    uint64
 	// walErr is the sticky first log I/O error observed by this frame
 	// (see WALErr).
 	walErr error

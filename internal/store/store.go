@@ -149,57 +149,51 @@ func (s *Store) ShardCounters(i int) (ops, aborts, hotKeys uint64) {
 }
 
 // Recover replays a recovered log into the store's shards — fresh maps
-// only, before any frame serves requests. Replay order preserves each
-// key's per-shard commit order, and every surviving intent's effects
-// belong to a fully committed composition (wal.Replay.Apply), so the
-// recovered keyspace never shows a torn composition. th drives the
-// replay transactions; it is the caller's (the server boots one thread
-// for this).
+// only, before any frame serves requests: the snapshot, then the log's
+// valid prefix past it, one effect at a time (wal.Replay.Apply). Log
+// order is each key's commit order, and a composition is one record, so
+// the recovered keyspace is the state after some prefix of the commits
+// and never shows a torn composition. th drives the replay transactions;
+// it is the caller's (the server boots one thread for this).
 func (s *Store) Recover(th *stm.Thread, rp *wal.Replay) {
-	rp.Apply(
-		func(key, val int64) { s.apply(th, &wal.Effect{Key: key, Val: val}) },
-		func(key int64) { s.apply(th, &wal.Effect{Remove: true, Key: key}) },
-		func(key, delta int64) { s.apply(th, &wal.Effect{Delta: true, Key: key, Val: delta}) },
-	)
+	rp.Apply(func(e *wal.Effect) { s.apply(th, e) })
 }
 
-// Snapshot writes one snapshot generation through the store's log: it
-// takes every shard's commit lock at once (ascending, the same order
-// composed operations use), records each shard's log position, dumps
-// each shard's contents in one atomic read transaction, releases the
-// locks, and hands the cut to wal.Log.WriteSnapshots. Holding all the
-// commit locks means no mutation is mid-append anywhere, so a composed
-// operation is entirely inside or entirely outside the generation —
-// the property recovery's composition accounting relies on. A no-op
-// without a log.
+// Snapshot writes a snapshot through the store's log: it takes every
+// shard's commit lock at once (ascending, the same order composed
+// operations use), reads the log position, dumps each shard's contents
+// in one atomic read transaction, releases the locks, and hands the cut
+// to wal.Log.WriteSnapshot. Holding all the commit locks means no
+// mutation is mid-append anywhere, so the snapshot is exactly the state
+// after the records through that position. A no-op without a log.
 func (s *Store) Snapshot(th *stm.Thread) error {
 	w := s.wal
 	if w == nil {
 		return nil
 	}
 	n := len(s.shards)
-	seqs := make([]uint64, n)
-	entries := make([][]wal.Entry, n)
 	for i := 0; i < n; i++ {
 		w.Lock(i)
 	}
+	seq := w.Seq()
+	var entries []wal.Entry
 	for i := 0; i < n; i++ {
-		seqs[i] = w.SeqOf(i)
-		entries[i] = s.dumpShard(th, i)
+		entries = s.dumpShard(th, i, entries)
 	}
 	for i := n - 1; i >= 0; i-- {
 		w.Unlock(i)
 	}
-	return w.WriteSnapshots(seqs, entries)
+	return w.WriteSnapshot(seq, entries)
 }
 
-// dumpShard reads one shard's full contents in one atomic snapshot,
-// folding the pending overlay of every promoted counter into its entry.
+// dumpShard appends one shard's full contents to out, read in one atomic
+// snapshot, folding the pending overlay of every promoted counter into
+// its entry.
 // The caller holds every shard's commit lock, and overlays are only
 // mutated under their shard's commit lock, so the overlay values belong
 // to exactly the log cut the snapshot records: an add logged before the
 // cut is in its overlay (or folded base) here, one logged after is not.
-func (s *Store) dumpShard(th *stm.Thread, i int) []wal.Entry {
+func (s *Store) dumpShard(th *stm.Thread, i int, out []wal.Entry) []wal.Entry {
 	h := &s.hot[i]
 	var overlays map[int64]int64
 	if h.count.Load() != 0 {
@@ -217,7 +211,6 @@ func (s *Store) dumpShard(th *stm.Thread, i int) []wal.Entry {
 		}
 		h.mu.RUnlock()
 	}
-	var out []wal.Entry
 	s.shards[i].Range(th, func(key int, val int64) bool {
 		if d, ok := overlays[int64(key)]; ok {
 			val += d

@@ -69,10 +69,12 @@ func exerciseValues(t *testing.T, f *Frame, base int64, model map[int64]int64) {
 // contents reads the whole keyspace, hot overlays folded in.
 func contents(s *Store, th *stm.Thread) map[int64]int64 {
 	out := map[int64]int64{}
+	var entries []wal.Entry
 	for i := range s.shards {
-		for _, e := range s.dumpShard(th, i) {
-			out[e.Key] = e.Val
-		}
+		entries = s.dumpShard(th, i, entries)
+	}
+	for _, e := range entries {
+		out[e.Key] = e.Val
 	}
 	return out
 }

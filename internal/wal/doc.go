@@ -1,7 +1,7 @@
-// Package wal is the per-shard write-ahead log behind internal/store's
-// durability: every committed mutation is appended, at commit time, to
-// the log of the shard it touched, and a restart replays those records
-// into freshly built shards.
+// Package wal is the write-ahead log behind internal/store's durability:
+// every committed mutation is appended, at commit time, as one record to
+// one append-only log file, and a restart replays those records into
+// freshly built shards.
 //
 // # Record format
 //
@@ -9,85 +9,71 @@
 //
 //	u32 length | u32 crc32c(payload) | payload
 //
-// with a fixed-width big-endian payload:
+// and every payload has one shape, whatever the mutation:
 //
-//	kind    offset  fields
-//	put     0       kind u8 | seq u64 | key i64 | val i64
-//	remove  0       kind u8 | seq u64 | key i64
-//	intent  0       kind u8 | seq u64 | txid u64 | count u16 | effects
-//	commit  0       kind u8 | seq u64 | txid u64
+//	seq u64 | count u16 | effects
 //
-// where each effect is op u8 (0 = put, 1 = remove) | shard u16 |
-// key i64 | val i64 (puts only). The encoding is canonical — every
-// valid byte string decodes to exactly one Record that re-encodes to
-// the same bytes — which is what the codec fuzzer pins.
+// where each of the count (1..MaxEffects) effects is
 //
-// seq is a per-shard sequence number, strictly increasing within a
-// file. It is assigned under the shard's commit lock, which the store
-// holds across the shard's transaction as well, so log order equals
-// commit order per shard.
+//	op        fields
+//	0 put     op u8 | shard u16 | key i64 | val i64
+//	1 remove  op u8 | shard u16 | key i64
+//	2 add     op u8 | shard u16 | key i64 | delta i64
+//
+// all big-endian. A Put is a one-effect record; an MPut, CompareAndMove,
+// MAdd or a batch-mode transaction's write set is one record with one
+// effect per key, whichever shards they land on. The shard tag lets
+// recovery check an effect against the directory's layout. The encoding
+// is canonical — every valid byte string decodes to exactly one Record
+// that re-encodes to the same bytes — which is what the codec fuzzer
+// pins.
+//
+// seq is global and strictly increasing in the file. It is assigned
+// under a short buffer lock taken while the committer holds the commit
+// lock of every shard it touches (the store holds those across the
+// transaction as well), so each shard's commit order is its log order.
 //
 // # Group commit
 //
-// Appends go to an in-memory buffer under the shard's commit lock;
-// durability is a separate Sync(shard, seq) call made after the lock is
-// released. The first syncer becomes the flush leader: it swaps the
-// shard's buffer for an empty spare, writes the whole batch with one
-// write(2) (plus one fsync when enabled), and broadcasts the new
-// durable sequence — concurrently committing transactions that arrived
-// while the leader was writing ride the next batch. The steady-state
-// path allocates nothing once the two swap buffers have grown to the
-// batch size.
+// Appends go to one in-memory buffer; durability is a separate Sync call
+// made after the commit locks are released. The first syncer becomes the
+// flush leader: it swaps the buffer for an empty spare, writes the whole
+// batch — every shard's records — with one write(2) (plus one fsync when
+// enabled), and broadcasts the new durable sequence; committers that
+// arrive while the leader is writing ride the next batch. The
+// steady-state path allocates nothing once the two swap buffers have
+// grown to the batch size.
 //
-// # Cross-shard compositions
+// # Recovery
 //
-// A composed mutation (store MPut, CompareAndMove) is logged as one
-// logical record in two phases, mirroring tinykv's lock/write
-// column-family split: an intent record carrying the full effect list
-// is appended to every participant shard, then a commit marker is
-// appended to the coordinator (the lowest participant shard index) —
-// all while the store holds every participant's commit lock, so the
-// composition occupies one contiguous position in each participant's
-// log. At replay a composition counts as committed when its commit
-// marker survived, or when any of its evidence is covered by a
-// snapshot (the snapshot barrier proves the rest was durable — see
-// below). A committed composition whose intent never reached some
-// participant's disk is healed rather than rolled back: the marker sits
-// right after the coordinator's intent on the same shard, so a
-// surviving marker always comes with the full effect list, and the
-// missing shard's effects replay at its log tail — exactly where the
-// lost intent would have sat, since nothing logged after an unflushed
-// record survives on its shard. Open then re-appends the healed
-// evidence to the shard's file so the repair is durable, not
-// re-derived. Only a composition whose commit marker is lost (and that
-// no snapshot covers) is rolled back, by cutting each participant's log
-// at its intent, propagated to a fixpoint so that no surviving record
-// depends on a discarded one. Replay therefore never materializes a
-// torn composition. The rollback path carries one power-loss caveat:
-// when the marker is lost, records acknowledged after a participant's
-// intent fall with the cut.
+// Recovery is the longest valid prefix of the log file, then the
+// snapshot, then the prefix's records with seq above the snapshot's.
+// Because a composition is one record, a torn tail is just a shorter
+// prefix: the recovered state is the state after some prefix of the
+// commits, and never holds part of a composition. Nothing is decided
+// across records, so recovery is read-only and idempotent by
+// construction; Open additionally truncates the file to the prefix, so a
+// torn tail can never precede live records.
 //
 // # Snapshots
 //
 // Snapshots are replay accelerators: the store dumps every shard under
 // all commit locks at once (so a composition is entirely inside or
 // entirely outside the snapshot), the log is synced through the
-// snapshot sequences, and each shard's entries land in a snap file via
-// tmp+rename. Logs are never truncated by snapshotting — recovery from
-// snapshot plus log suffix must equal full-log replay, and the
-// recovery tests assert exactly that. Because every log is synced
-// through the covered sequences before the first snap file lands, a
-// snap file is also a commit barrier: evidence covered by one shard's
-// snapshot proves the whole composition was durable, even when another
-// shard's snap file is corrupt or from an older generation (a crash
-// between renames). Compaction (dropping the prefix a snapshot covers)
-// is future work.
+// snapshot's sequence, and the entries land in one snap file via
+// tmp+rename — a crash leaves the previous snapshot or the new one, never
+// a mix. The log is never truncated by snapshotting: recovery from
+// snapshot plus log suffix must equal full-log replay, and the recovery
+// tests assert exactly that. A snap file that fails validation is
+// ignored and the full log replays instead. Compaction (dropping the
+// prefix a snapshot covers) is future work.
 //
-// # Corruption
+// # Corruption and old formats
 //
 // Scanning stops at the first invalid record — truncated frame, CRC
-// mismatch, malformed payload, or sequence regression — and reports the
-// cut as a typed *CorruptError (shard, byte offset, last valid
-// sequence, reason). Reopening for appends truncates the file there, so
-// a torn tail can never precede live records.
+// mismatch, malformed payload, sequence regression, or an effect shard
+// outside the layout — and reports the cut as a typed *CorruptError
+// (byte offset, last valid sequence, reason). A directory written by the
+// per-shard format (shard-*.wal files, or a meta file with the previous
+// magic) is refused with a typed *VersionError and left untouched.
 package wal

@@ -2,44 +2,14 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
 
-// Kind discriminates log records. See the package comment for the
-// payload layout of each kind.
-type Kind uint8
-
-// Record kinds. The zero value is invalid so a zeroed byte never
-// decodes as a record.
-const (
-	KindPut    Kind = 1 // single-shard put
-	KindRemove Kind = 2 // single-shard remove
-	KindIntent Kind = 3 // composed-op intent (full effect list)
-	KindCommit Kind = 4 // composed-op commit marker (coordinator only)
-	KindAdd    Kind = 5 // single-shard commutative delta
-)
-
-// String names the kind for errors and summaries.
-func (k Kind) String() string {
-	switch k {
-	case KindPut:
-		return "put"
-	case KindRemove:
-		return "remove"
-	case KindIntent:
-		return "intent"
-	case KindCommit:
-		return "commit"
-	case KindAdd:
-		return "add"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// Effect is one key mutation of a composed operation, tagged with the
-// shard it lands on so replay can route it without knowing the store's
-// hash function.
+// Effect is one key mutation of a record, tagged with the shard it lands
+// on so recovery can check it against the directory's layout without
+// knowing the store's hash function.
 type Effect struct {
 	Remove bool // true = remove (Delta must be false)
 	Delta  bool // true = commutative add: Val is a delta, not an absolute value
@@ -48,20 +18,17 @@ type Effect struct {
 	Val    int64 // put value or add delta; 0 for removes
 }
 
-// Record is one decoded log record. Key/Val carry KindPut, KindRemove
-// and KindAdd (Val is the delta), TxID carries KindIntent and
-// KindCommit, Effects carries KindIntent.
+// Record is one decoded log record: the effects of one committed
+// mutation, elementary (one effect) or composed (several), under one
+// sequence number.
 type Record struct {
-	Kind    Kind
 	Seq     uint64
-	Key     int64
-	Val     int64
-	TxID    uint64
 	Effects []Effect
 }
 
 // Frame and payload limits. MaxEffects comfortably covers the wire
-// protocol's per-request key limit (4096) plus slack.
+// protocol's per-request key limit (4096) plus slack, and keeps the
+// largest record far below MaxRecordSize.
 const (
 	frameHeaderSize = 8       // u32 length + u32 crc
 	MaxRecordSize   = 1 << 20 // payload bytes
@@ -95,142 +62,106 @@ const (
 	effAdd    = 2
 )
 
-// AppendPayload appends the canonical encoding of r (frame excluded) to
-// dst. It is the inverse of DecodePayload.
-func AppendPayload(dst []byte, r *Record) []byte {
-	dst = append(dst, byte(r.Kind))
-	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
-	switch r.Kind {
-	case KindPut, KindAdd:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Key))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Val))
-	case KindRemove:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Key))
-	case KindIntent:
-		dst = binary.BigEndian.AppendUint64(dst, r.TxID)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Effects)))
-		for i := range r.Effects {
-			e := &r.Effects[i]
-			switch {
-			case e.Remove:
-				dst = append(dst, effRemove)
-				dst = binary.BigEndian.AppendUint16(dst, uint16(e.Shard))
-				dst = binary.BigEndian.AppendUint64(dst, uint64(e.Key))
-			case e.Delta:
-				dst = append(dst, effAdd)
-				dst = binary.BigEndian.AppendUint16(dst, uint16(e.Shard))
-				dst = binary.BigEndian.AppendUint64(dst, uint64(e.Key))
-				dst = binary.BigEndian.AppendUint64(dst, uint64(e.Val))
-			default:
-				dst = append(dst, effPut)
-				dst = binary.BigEndian.AppendUint16(dst, uint16(e.Shard))
-				dst = binary.BigEndian.AppendUint64(dst, uint64(e.Key))
-				dst = binary.BigEndian.AppendUint64(dst, uint64(e.Val))
-			}
+// AppendPayload appends the canonical encoding of the record seq,
+// effects (frame excluded) to dst. It is the inverse of DecodePayload.
+//
+//compose:noalloc
+func AppendPayload(dst []byte, seq uint64, effects []Effect) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(effects)))
+	for i := range effects {
+		e := &effects[i]
+		op := byte(effPut)
+		switch {
+		case e.Remove:
+			op = effRemove
+		case e.Delta:
+			op = effAdd
 		}
-	case KindCommit:
-		dst = binary.BigEndian.AppendUint64(dst, r.TxID)
+		dst = append(dst, op)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(e.Shard))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Key))
+		if op != effRemove {
+			dst = binary.BigEndian.AppendUint64(dst, uint64(e.Val))
+		}
 	}
 	return dst
 }
 
 // DecodePayload parses one record payload into r, reusing r.Effects.
-// Every failure is a *FormatError; on success AppendPayload(nil, r)
-// reproduces b exactly.
+// Every failure is a *FormatError; on success
+// AppendPayload(nil, r.Seq, r.Effects) reproduces b exactly.
 func DecodePayload(b []byte, r *Record) error {
 	r.Effects = r.Effects[:0]
-	r.Key, r.Val, r.TxID = 0, 0, 0
-	if len(b) < 9 {
+	if len(b) < 10 {
 		return ferr("short header")
 	}
-	r.Kind = Kind(b[0])
-	r.Seq = binary.BigEndian.Uint64(b[1:])
+	r.Seq = binary.BigEndian.Uint64(b)
 	if r.Seq == 0 {
 		return ferr("zero sequence")
 	}
-	b = b[9:]
-	switch r.Kind {
-	case KindPut, KindAdd:
-		if len(b) != 16 {
-			return ferr("put payload length")
+	count := int(binary.BigEndian.Uint16(b[8:]))
+	if count == 0 || count > MaxEffects {
+		return ferr("effect count out of range")
+	}
+	b = b[10:]
+	for i := 0; i < count; i++ {
+		if len(b) < 11 {
+			return ferr("effect truncated")
 		}
-		r.Key = int64(binary.BigEndian.Uint64(b))
-		r.Val = int64(binary.BigEndian.Uint64(b[8:]))
-	case KindRemove:
-		if len(b) != 8 {
-			return ferr("remove payload length")
-		}
-		r.Key = int64(binary.BigEndian.Uint64(b))
-	case KindIntent:
-		if len(b) < 10 {
-			return ferr("intent payload length")
-		}
-		r.TxID = binary.BigEndian.Uint64(b)
-		count := int(binary.BigEndian.Uint16(b[8:]))
-		if count == 0 {
-			return ferr("intent without effects")
-		}
-		b = b[10:]
-		for i := 0; i < count; i++ {
-			if len(b) < 11 {
+		e := Effect{Shard: int(binary.BigEndian.Uint16(b[1:])), Key: int64(binary.BigEndian.Uint64(b[3:]))}
+		switch op := b[0]; op {
+		case effPut, effAdd:
+			if len(b) < 19 {
 				return ferr("effect truncated")
 			}
-			var e Effect
-			op := b[0]
-			e.Shard = int(binary.BigEndian.Uint16(b[1:]))
-			e.Key = int64(binary.BigEndian.Uint64(b[3:]))
-			switch op {
-			case effPut, effAdd:
-				if len(b) < 19 {
-					return ferr("put effect truncated")
-				}
-				e.Delta = op == effAdd
-				e.Val = int64(binary.BigEndian.Uint64(b[11:]))
-				b = b[19:]
-			case effRemove:
-				e.Remove = true
-				b = b[11:]
-			default:
-				return ferr("unknown effect op")
-			}
-			r.Effects = append(r.Effects, e)
+			e.Delta = op == effAdd
+			e.Val = int64(binary.BigEndian.Uint64(b[11:]))
+			b = b[19:]
+		case effRemove:
+			e.Remove = true
+			b = b[11:]
+		default:
+			return ferr("unknown effect op")
 		}
-		if len(b) != 0 {
-			return ferr("intent trailing bytes")
-		}
-	case KindCommit:
-		if len(b) != 8 {
-			return ferr("commit payload length")
-		}
-		r.TxID = binary.BigEndian.Uint64(b)
-	default:
-		return ferr("unknown record kind")
+		r.Effects = append(r.Effects, e)
+	}
+	if len(b) != 0 {
+		return ferr("trailing bytes")
 	}
 	return nil
 }
 
-// appendFrame appends the framed encoding of r (length, CRC, payload).
-func appendFrame(dst []byte, r *Record) []byte {
+// errEffectCount is appendFrame's panic value.
+var errEffectCount = errors.New("wal: record effect count out of range")
+
+// appendFrame appends the framed encoding of one record (length, CRC,
+// payload). A record carries 1..MaxEffects effects; anything else is a
+// caller bug the decoder would refuse, so it panics here instead.
+//
+//compose:noalloc
+func appendFrame(dst []byte, seq uint64, effects []Effect) []byte {
+	if len(effects) == 0 || len(effects) > MaxEffects {
+		panic(errEffectCount)
+	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = AppendPayload(dst, r)
+	dst = AppendPayload(dst, seq, effects)
 	payload := dst[start+frameHeaderSize:]
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(dst[start+4:], checksum(payload))
 	return dst
 }
 
-// CorruptError describes where and why a shard's log stopped being
+// CorruptError describes where and why the log stopped being
 // trustworthy: scanning keeps everything before Off and discards the
 // rest. Seq is the last sequence number that survived.
 type CorruptError struct {
-	Shard  int
 	Off    int64
 	Seq    uint64
 	Reason string
 }
 
 func (e *CorruptError) Error() string {
-	return fmt.Sprintf("wal: shard %d corrupt at offset %d (last valid seq %d): %s",
-		e.Shard, e.Off, e.Seq, e.Reason)
+	return fmt.Sprintf("wal: log corrupt at offset %d (last valid seq %d): %s", e.Off, e.Seq, e.Reason)
 }

@@ -5,72 +5,34 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 )
 
-// ShardState is one shard's recovered contents: the snapshot (if any),
-// the decoded log records, and how much of each survives.
-type ShardState struct {
-	// Snapshot holds the shard's snap-file entries (nil without one);
-	// SnapSeq is the log sequence the snapshot covers — records with
-	// Seq <= SnapSeq are already folded in and are skipped by Apply.
+// Replay is the recovered state of a log directory, produced by Open or
+// Scan and applied to a store via Apply: the snapshot (if any), then the
+// log's longest valid prefix.
+type Replay struct {
+	// Shards is the directory's shard count.
+	Shards int
+
+	// Snapshot holds the snap file's entries (nil without one); SnapSeq
+	// is the log sequence it covers — records with Seq <= SnapSeq are
+	// already folded in and are skipped by Apply.
 	Snapshot []Entry
 	SnapSeq  uint64
 	// SnapCorrupt records a snap file that failed validation; the
-	// snapshot is then ignored and the full log replayed instead (logs
-	// are never truncated by snapshotting, so this loses nothing).
+	// snapshot is then ignored and the full log replayed instead (the log
+	// is never truncated by snapshotting, so this loses nothing).
 	SnapCorrupt error
 
-	// Records are the log's decoded records, in file order. Only the
-	// first Keep of them survive: the rest were rolled back because a
-	// composition they belong to (or one they causally follow) did not
-	// fully commit before the crash.
+	// Records is the log's longest valid prefix, in file order.
 	Records []Record
-	Keep    int
-
-	// Torn describes why scanning the file stopped early (nil for a
-	// clean end); it is the typed cut-point error of the torn-tail
+	// Torn describes why scanning stopped before the end of the file (nil
+	// for a clean end); it is the typed cut-point error of the torn-tail
 	// contract.
 	Torn *CorruptError
 
-	// LastSeq is the sequence appends resume after; TruncateTo the file
-	// size Open keeps.
-	LastSeq    uint64
-	TruncateTo int64
-
-	offs []int64 // frame-start offset of each record
-	end  int64   // offset after the last parsed record
-
-	// repair holds the evidence records of committed compositions that
-	// this shard's surviving prefix is missing — the intent a crash kept
-	// off this shard's disk (and, for a snapshot-covered composition, a
-	// lost commit marker), rebuilt from the evidence that did survive.
-	// Apply replays them after the shard's records; Open re-appends them
-	// to the file with fresh sequences so the healed composition is
-	// ordinary log state on the next recovery.
-	repair []Record
-}
-
-// Replay is the recovered state of a log directory, produced by Open or
-// Scan and applied to a store via Apply.
-type Replay struct {
-	Shards []ShardState
-	// Aborted lists the composition transaction ids rolled back at
-	// recovery (commit marker lost, no snapshot coverage).
-	Aborted []uint64
-	// Healed lists committed compositions replayed despite evidence
-	// missing from some participant's surviving prefix — the effects
-	// came from the intent copies that did survive (every intent carries
-	// the full effect list).
-	Healed []uint64
-	// MaxTxID is the highest composition id seen anywhere in the log.
-	MaxTxID uint64
-}
-
-// scanOpts tunes scan for the recovery-equivalence tests.
-type scanOpts struct {
-	ignoreSnapshots bool
+	end int64 // the prefix's byte length: the file size Open keeps
 }
 
 // Scan reads the log directory without opening it for appends: the same
@@ -82,365 +44,109 @@ func Scan(dir string) (*Replay, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scan(dir, shards, scanOpts{})
+	return scan(dir, shards, true)
 }
 
-// ScanNoSnapshots is Scan with snap files ignored — the full-log replay
-// the snapshot-equivalence test compares against.
+// ScanNoSnapshots is Scan with the snap file ignored — the full-log
+// replay the snapshot-equivalence tests compare against.
 func ScanNoSnapshots(dir string) (*Replay, error) {
 	shards, err := readMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	return scan(dir, shards, scanOpts{ignoreSnapshots: true})
+	return scan(dir, shards, false)
 }
 
-// scan parses every shard file, decides which compositions committed,
-// and rolls incomplete ones back to a consistent cut.
-func scan(dir string, shards int, o scanOpts) (*Replay, error) {
-	rp := &Replay{Shards: make([]ShardState, shards)}
-	for i := range rp.Shards {
-		sh := &rp.Shards[i]
-		if !o.ignoreSnapshots {
-			entries, seq, err := readSnapshot(filepath.Join(dir, snapFileName(i)), i)
-			switch {
-			case err == nil:
-				sh.Snapshot, sh.SnapSeq = entries, seq
-			case os.IsNotExist(err):
-			default:
-				sh.SnapCorrupt = err
-			}
-		}
-		if err := scanShardFile(dir, i, shards, sh); err != nil {
-			return nil, err
+// scan reads the snapshot (when snapshots is set) and the log file's
+// longest valid prefix: it stops at the first truncated frame, CRC
+// mismatch, malformed payload, non-increasing sequence, or effect routed
+// to a nonexistent shard.
+func scan(dir string, shards int, snapshots bool) (*Replay, error) {
+	rp := &Replay{Shards: shards}
+	if snapshots {
+		switch entries, seq, err := readSnapshot(filepath.Join(dir, snapName)); {
+		case err == nil:
+			rp.Snapshot, rp.SnapSeq = entries, seq
+		case !os.IsNotExist(err):
+			rp.SnapCorrupt = err
 		}
 	}
-	resolveCompositions(rp)
-	for i := range rp.Shards {
-		finishShard(&rp.Shards[i])
+	data, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	var prev uint64
+	for rp.end < int64(len(data)) {
+		r, n, reason := parseFrame(data[rp.end:], shards)
+		if reason == "" && r.Seq <= prev {
+			reason = "sequence not increasing"
+		}
+		if reason != "" {
+			rp.Torn = &CorruptError{Off: rp.end, Seq: prev, Reason: reason}
+			break
+		}
+		rp.Records = append(rp.Records, r)
+		prev = r.Seq
+		rp.end += int64(n)
 	}
 	return rp, nil
 }
 
-// scanShardFile parses shard i's log into sh, stopping at the first
-// invalid record (truncated frame, CRC mismatch, malformed payload,
-// non-increasing sequence, or an effect routed to a nonexistent shard).
-func scanShardFile(dir string, i, shards int, sh *ShardState) error {
-	data, err := os.ReadFile(filepath.Join(dir, shardFileName(i)))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
+// parseFrame decodes the frame at the start of b, returning the record
+// and the frame's length, or why b does not start with a valid frame.
+func parseFrame(b []byte, shards int) (r Record, n int, reason string) {
+	if len(b) < frameHeaderSize {
+		return r, 0, "truncated frame header"
 	}
-	var (
-		off     int64
-		prevSeq uint64
-	)
-	cut := func(reason string) {
-		sh.Torn = &CorruptError{Shard: i, Off: off, Seq: prevSeq, Reason: reason}
+	size := binary.BigEndian.Uint32(b)
+	if size == 0 || size > MaxRecordSize {
+		return r, 0, "frame length out of range"
 	}
-	for int(off) < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeaderSize {
-			cut("truncated frame header")
-			break
-		}
-		n := binary.BigEndian.Uint32(rest)
-		if n == 0 || n > MaxRecordSize {
-			cut("frame length out of range")
-			break
-		}
-		if len(rest) < frameHeaderSize+int(n) {
-			cut("truncated frame body")
-			break
-		}
-		payload := rest[frameHeaderSize : frameHeaderSize+int(n)]
-		if checksum(payload) != binary.BigEndian.Uint32(rest[4:]) {
-			cut("crc mismatch")
-			break
-		}
-		var r Record
-		if err := DecodePayload(payload, &r); err != nil {
-			cut(err.(*FormatError).Reason)
-			break
-		}
-		if r.Seq <= prevSeq {
-			cut("sequence not increasing")
-			break
-		}
-		if bad := badEffectShard(&r, shards); bad >= 0 {
-			cut(fmt.Sprintf("effect shard %d out of range", bad))
-			break
-		}
-		sh.Records = append(sh.Records, r)
-		sh.offs = append(sh.offs, off)
-		prevSeq = r.Seq
-		off += int64(frameHeaderSize) + int64(n)
+	n = frameHeaderSize + int(size)
+	if len(b) < n {
+		return r, 0, "truncated frame body"
 	}
-	sh.end = off
-	sh.Keep = len(sh.Records)
-	return nil
+	payload := b[frameHeaderSize:n]
+	if checksum(payload) != binary.BigEndian.Uint32(b[4:]) {
+		return r, 0, "crc mismatch"
+	}
+	if err := DecodePayload(payload, &r); err != nil {
+		return r, 0, err.(*FormatError).Reason
+	}
+	for _, e := range r.Effects {
+		if e.Shard >= shards {
+			return r, 0, fmt.Sprintf("effect shard %d out of range", e.Shard)
+		}
+	}
+	return r, n, ""
 }
 
-// badEffectShard returns the first out-of-range effect shard of an
-// intent, or -1.
-func badEffectShard(r *Record, shards int) int {
-	if r.Kind != KindIntent {
-		return -1
+// lastSeq is the sequence appends resume after.
+func (rp *Replay) lastSeq() uint64 {
+	seq := rp.SnapSeq
+	if n := len(rp.Records); n > 0 {
+		seq = max(seq, rp.Records[n-1].Seq)
 	}
-	for i := range r.Effects {
-		if s := r.Effects[i].Shard; s < 0 || s >= shards {
-			return s
-		}
-	}
-	return -1
+	return seq
 }
 
-// compo gathers one composition's evidence across the shards.
-type compo struct {
-	txid     uint64
-	effects  []Effect
-	intentAt map[int]int // shard -> record index of its intent
-	commitAt int         // record index of the marker, -1 if unseen
-	commitSh int
-	// covered is set when any evidence record sits at or below its
-	// shard's snapshot sequence. WriteSnapshots syncs every shard's log
-	// through the covered sequences before the first snap file lands,
-	// and snapshots are taken under all commit locks at once, so
-	// coverage on one shard proves the whole composition's evidence was
-	// durable — whatever the other shards' snap files look like now
-	// (corrupt, or an older generation after a crash mid-write).
-	covered bool
-	cut     bool
-}
-
-// committed reports whether c's surviving evidence proves the
-// composition committed: snapshot coverage anywhere, or its commit
-// marker inside the surviving prefix. The marker is appended after
-// every intent under the same commit locks, on the coordinator shard
-// right after the coordinator's intent — so a surviving marker always
-// comes with the full effect list, even when a participant's intent
-// never reached its own disk.
-func (c *compo) committed(keep []int) bool {
-	if len(c.effects) == 0 {
-		return false
+// Apply replays the recovered state into fn, one effect at a time: the
+// snapshot entries as puts, then every effect of every record past the
+// snapshot, in log order. Each shard's commit order is its log order, so
+// per key this is the commit order; and a record is all of one
+// mutation's effects, so a prefix never holds part of a composition.
+// Apply is read-only on the Replay and can run any number of times
+// (recovery idempotence).
+func (rp *Replay) Apply(fn func(e *Effect)) {
+	var put Effect
+	for _, s := range rp.Snapshot {
+		put.Key, put.Val = s.Key, s.Val
+		fn(&put)
 	}
-	return c.covered || (c.commitAt >= 0 && c.commitAt < keep[c.commitSh])
-}
-
-// participants returns the unique effect shards (the coordinator is the
-// minimum).
-func (c *compo) participants() []int {
-	var out []int
-	for i := range c.effects {
-		s := c.effects[i].Shard
-		found := false
-		for _, p := range out {
-			if p == s {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// resolveCompositions decides which compositions committed, heals
-// committed ones whose evidence is partially missing, and rolls the
-// rest back to a consistent cut.
-//
-// A composition counts as committed when compo.committed holds: any of
-// its evidence is snapshot-covered, or its commit marker is inside the
-// surviving prefix. A committed composition missing a participant's
-// intent (the batch never reached that shard's disk, or a rollback cut
-// stranded it) is healed: the full effect list from a surviving intent
-// is queued as repair records that Apply replays after the shard's
-// surviving records — which is exactly where the lost intent would have
-// sat, since nothing after an unflushed (or cut) record ever survives
-// on its shard.
-//
-// Anything else — commit marker lost, no snapshot coverage — is rolled
-// back by cutting each participant's log at its intent. Cutting can
-// strand the marker of a later composition on the same shard, so the
-// rule iterates to a fixpoint — prefixes only shrink, so it
-// terminates. The fixpoint keeps the cut causally consistent: a record
-// that survives never depends (through log order on its shard) on one
-// that was discarded. This rollback path carries the documented
-// power-loss caveat: records acknowledged after a participant's intent
-// fall with the cut when the marker is lost.
-//
-// Repair records are ordered by transaction id, which matches log
-// order on any shard two compositions share: ids are allocated while
-// holding every participant's commit lock, so overlapping compositions
-// allocate in their serialization order.
-func resolveCompositions(rp *Replay) {
-	compos := map[uint64]*compo{}
-	track := func(txid uint64) *compo {
-		c, ok := compos[txid]
-		if !ok {
-			c = &compo{txid: txid, intentAt: map[int]int{}, commitAt: -1}
-			compos[txid] = c
-		}
-		return c
-	}
-	for i := range rp.Shards {
-		sh := &rp.Shards[i]
-		for j := range sh.Records {
-			r := &sh.Records[j]
-			switch r.Kind {
-			case KindIntent:
-				if r.TxID > rp.MaxTxID {
-					rp.MaxTxID = r.TxID
-				}
-				c := track(r.TxID)
-				c.effects = r.Effects
-				c.intentAt[i] = j
-				if r.Seq <= sh.SnapSeq {
-					c.covered = true
-				}
-			case KindCommit:
-				if r.TxID > rp.MaxTxID {
-					rp.MaxTxID = r.TxID
-				}
-				c := track(r.TxID)
-				c.commitAt, c.commitSh = j, i
-				if r.Seq <= sh.SnapSeq {
-					c.covered = true
-				}
-			}
-		}
-	}
-
-	keep := make([]int, len(rp.Shards))
-	for i := range rp.Shards {
-		keep[i] = rp.Shards[i].Keep
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, c := range compos {
-			if c.cut || c.committed(keep) {
-				continue
-			}
-			c.cut = true
-			rp.Aborted = append(rp.Aborted, c.txid)
-			for sh, idx := range c.intentAt {
-				if idx < keep[sh] {
-					keep[sh] = idx
-					changed = true
-				}
-			}
-		}
-	}
-	for i := range rp.Shards {
-		rp.Shards[i].Keep = keep[i]
-	}
-
-	// Heal committed compositions with missing evidence, in id order.
-	ids := make([]uint64, 0, len(compos))
-	for id, c := range compos {
-		if !c.cut {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		c := compos[id]
-		healed := false
-		for _, p := range c.participants() {
-			if idx, ok := c.intentAt[p]; ok && idx < keep[p] {
-				continue
-			}
-			healed = true
-			rp.Shards[p].repair = append(rp.Shards[p].repair,
-				Record{Kind: KindIntent, TxID: c.txid, Effects: c.effects})
-		}
-		// A covered composition can survive its marker (the snapshot is
-		// the proof); restore the marker too so the healed state stands
-		// on its own if the snap file is later lost.
-		if c.commitAt < 0 || c.commitAt >= keep[c.commitSh] {
-			coord := slices.Min(c.participants())
-			rp.Shards[coord].repair = append(rp.Shards[coord].repair,
-				Record{Kind: KindCommit, TxID: c.txid})
-			healed = true
-		}
-		if healed {
-			rp.Healed = append(rp.Healed, id)
-		}
-	}
-}
-
-// finishShard derives the append-resume point and file cut from the
-// final surviving prefix.
-func finishShard(sh *ShardState) {
-	if sh.Keep < len(sh.Records) {
-		sh.TruncateTo = sh.offs[sh.Keep]
-	} else {
-		sh.TruncateTo = sh.end
-	}
-	sh.LastSeq = sh.SnapSeq
-	if sh.Keep > 0 {
-		if s := sh.Records[sh.Keep-1].Seq; s > sh.LastSeq {
-			sh.LastSeq = s
-		}
-	}
-}
-
-// Apply replays the recovered state: per shard, the snapshot entries,
-// then every surviving record past the snapshot — puts and removes
-// directly, adds by re-applying the delta, a committed intent's effects
-// routed to the shard they were tagged with — then the shard's repair
-// records (healed compositions whose intent this shard's prefix is
-// missing; nothing logged after a lost record ever survives on its
-// shard, so the tail is the lost intent's position). Every intent
-// inside a surviving prefix belongs to a committed composition
-// (resolveCompositions cut the others), so replay never materializes a
-// torn composition. Apply is read-only on the Replay and can run any
-// number of times (recovery idempotence).
-func (rp *Replay) Apply(put func(key, val int64), remove func(key int64), add func(key, delta int64)) {
-	for i := range rp.Shards {
-		sh := &rp.Shards[i]
-		for _, e := range sh.Snapshot {
-			put(e.Key, e.Val)
-		}
-		for j := 0; j < sh.Keep; j++ {
-			r := &sh.Records[j]
-			if r.Seq <= sh.SnapSeq {
-				continue
-			}
-			applyRecord(r, i, put, remove, add)
-		}
-		for j := range sh.repair {
-			applyRecord(&sh.repair[j], i, put, remove, add)
-		}
-	}
-}
-
-// applyRecord replays one record's effect on shard i.
-func applyRecord(r *Record, i int, put func(key, val int64), remove func(key int64), add func(key, delta int64)) {
-	switch r.Kind {
-	case KindPut:
-		put(r.Key, r.Val)
-	case KindRemove:
-		remove(r.Key)
-	case KindAdd:
-		add(r.Key, r.Val)
-	case KindIntent:
-		for k := range r.Effects {
-			e := &r.Effects[k]
-			if e.Shard != i {
-				continue
-			}
-			switch {
-			case e.Remove:
-				remove(e.Key)
-			case e.Delta:
-				add(e.Key, e.Val)
-			default:
-				put(e.Key, e.Val)
+	for i := range rp.Records {
+		if r := &rp.Records[i]; r.Seq > rp.SnapSeq {
+			for j := range r.Effects {
+				fn(&r.Effects[j])
 			}
 		}
 	}
@@ -449,29 +155,16 @@ func applyRecord(r *Record, i int, put func(key, val int64), remove func(key int
 // Summary renders a one-line human description of the recovery (for
 // compose-server startup logs and CI greps).
 func (rp *Replay) Summary() string {
-	var records, snaps, torn int
-	var firstTorn *CorruptError
-	for i := range rp.Shards {
-		sh := &rp.Shards[i]
-		records += sh.Keep
-		if sh.Snapshot != nil {
-			snaps++
-		}
-		if sh.Torn != nil {
-			torn++
-			if firstTorn == nil {
-				firstTorn = sh.Torn
-			}
-		}
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "wal: recovered %d shards: %d records, %d snapshots, %d compositions rolled back",
-		len(rp.Shards), records, snaps, len(rp.Aborted))
-	if len(rp.Healed) > 0 {
-		fmt.Fprintf(&b, ", %d healed from surviving intents", len(rp.Healed))
+	fmt.Fprintf(&b, "wal: recovered %d records over %d shards", len(rp.Records), rp.Shards)
+	if rp.Snapshot != nil {
+		fmt.Fprintf(&b, ", snapshot of %d entries at seq %d", len(rp.Snapshot), rp.SnapSeq)
 	}
-	if torn > 0 {
-		fmt.Fprintf(&b, ", %d torn tails (first: %v)", torn, firstTorn)
+	if rp.SnapCorrupt != nil {
+		fmt.Fprintf(&b, ", snapshot ignored (%v)", rp.SnapCorrupt)
+	}
+	if rp.Torn != nil {
+		fmt.Fprintf(&b, ", torn tail cut (%v)", rp.Torn)
 	}
 	return b.String()
 }

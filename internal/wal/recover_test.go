@@ -1,14 +1,17 @@
 // Recovery contracts: scanning is idempotent (replay twice = once), a
 // snapshot plus the log suffix replays to the same state as the full
-// log, torn tails and corrupt records cut to the last valid commit with
-// a typed error, and incomplete compositions roll back to a consistent
-// cut that never materializes half a composed operation.
+// log, and a torn or corrupt log recovers to the state after its longest
+// valid record prefix, reporting the cut as a typed error — so a
+// composition, being one record, is never recovered in part.
 package wal
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -35,15 +38,10 @@ func writeWorkload(t *testing.T) (string, map[int64]int64) {
 		}
 		if i%13 == 0 {
 			from, to := 1000+i, 2000+i+1 // adjacent residues: distinct shards
-			shA, shB := int(from%shards), int(to%shards)
-			parts := []int{shA, shB}
-			if shA > shB {
-				parts[0], parts[1] = shB, shA
-			}
-			err := logComposed(l, parts, []Effect{
-				{Shard: shA, Key: from, Val: 5},
-				{Remove: true, Shard: shB, Key: to},
-			})
+			err := logComposed(l,
+				Effect{Shard: int(from % shards), Key: from, Val: 5},
+				Effect{Remove: true, Shard: int(to % shards), Key: to},
+			)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,13 +56,42 @@ func writeWorkload(t *testing.T) (string, map[int64]int64) {
 
 func assertState(t *testing.T, got, want map[int64]int64, what string) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d keys, want %d", what, len(got), len(want))
+	if !maps.Equal(got, want) {
+		t.Fatalf("%s: recovered %v, want %v", what, got, want)
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("%s: key %d = %d, want %d", what, k, got[k], v)
-		}
+}
+
+// snapshotNow writes a snapshot the way Store.Snapshot does: every
+// commit lock at once, the log position and the contents, release,
+// write.
+func snapshotNow(t *testing.T, l *Log, state map[int64]int64) {
+	t.Helper()
+	for i := 0; i < l.Shards(); i++ {
+		l.Lock(i)
+	}
+	seq := l.Seq()
+	var entries []Entry
+	for k, v := range state {
+		entries = append(entries, Entry{Key: k, Val: v})
+	}
+	for i := l.Shards() - 1; i >= 0; i-- {
+		l.Unlock(i)
+	}
+	if err := l.WriteSnapshot(seq, entries); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipByte XORs one byte of path's contents.
+func flipByte(t *testing.T, path string, off func(size int) int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off(len(data))] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -85,8 +112,8 @@ func TestRecoveryIdempotence(t *testing.T) {
 	}
 	assertState(t, applied(rp2), want, "second scan")
 
-	// Open truncates torn/rolled-back tails; a clean directory must come
-	// through untouched and still scan identically after.
+	// Open truncates a torn tail; a clean directory must come through
+	// untouched and still scan identically after.
 	l, rp3 := openLog(t, dir, 4)
 	assertState(t, applied(rp3), want, "open after scans")
 	if err := l.Close(); err != nil {
@@ -99,9 +126,9 @@ func TestRecoveryIdempotence(t *testing.T) {
 	assertState(t, applied(rp4), want, "scan after open")
 }
 
-// TestSnapshotPlusSuffix: a snapshot generation plus the records logged
-// after it replays to exactly the state the full log replays to —
-// snapshots accelerate, never alter.
+// TestSnapshotPlusSuffix: a snapshot plus the records logged after it
+// replays to exactly the state the full log replays to — snapshots
+// accelerate, never alter.
 func TestSnapshotPlusSuffix(t *testing.T) {
 	const shards = 4
 	dir := t.TempDir()
@@ -116,35 +143,13 @@ func TestSnapshotPlusSuffix(t *testing.T) {
 	for i := int64(0); i < 80; i++ {
 		put(i, i)
 	}
-
-	// Snapshot the current state the way Store.Snapshot does: all commit
-	// locks at once, capture seq and contents per shard, release, write.
-	seqs := make([]uint64, shards)
-	entries := make([][]Entry, shards)
-	for i := 0; i < shards; i++ {
-		l.Lock(i)
-	}
-	for i := 0; i < shards; i++ {
-		seqs[i] = l.SeqOf(i)
-	}
-	for k, v := range want {
-		i := int(k % shards)
-		entries[i] = append(entries[i], Entry{Key: k, Val: v})
-	}
-	for i := shards - 1; i >= 0; i-- {
-		l.Unlock(i)
-	}
-	if err := l.WriteSnapshots(seqs, entries); err != nil {
-		t.Fatal(err)
-	}
+	snapshotNow(t, l, want)
 
 	// The suffix: more elementary ops and a composition.
 	for i := int64(80); i < 120; i++ {
 		put(i, i*3)
 	}
-	if err := logComposed(l, []int{0, 1}, []Effect{
-		{Shard: 0, Key: 5000, Val: 1}, {Shard: 1, Key: 5001, Val: 2},
-	}); err != nil {
+	if err := logComposed(l, Effect{Shard: 0, Key: 5000, Val: 1}, Effect{Shard: 1, Key: 5001, Val: 2}); err != nil {
 		t.Fatal(err)
 	}
 	want[5000], want[5001] = 1, 2
@@ -160,25 +165,22 @@ func TestSnapshotPlusSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range withSnap.Shards {
-		if withSnap.Shards[i].Snapshot == nil {
-			t.Fatalf("shard %d: snapshot not picked up", i)
-		}
-		if fullLog.Shards[i].Snapshot != nil {
-			t.Fatalf("shard %d: ScanNoSnapshots read a snapshot", i)
-		}
+	if withSnap.Snapshot == nil || withSnap.SnapSeq != 80 {
+		t.Fatalf("snapshot not picked up (seq %d, want 80)", withSnap.SnapSeq)
+	}
+	if fullLog.Snapshot != nil {
+		t.Fatal("ScanNoSnapshots read a snapshot")
 	}
 	assertState(t, applied(withSnap), want, "snapshot+suffix")
 	assertState(t, applied(fullLog), want, "full log")
 }
 
 // TestTornTailTruncated: a frame cut mid-record replays cleanly to the
-// last valid commit, reporting a typed *CorruptError with the cut
+// last valid record, reporting a typed *CorruptError with the cut
 // point, and Open resumes appending from there.
 func TestTornTailTruncated(t *testing.T) {
-	const shards = 1
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, shards)
+	l, _ := openLog(t, dir, 1)
 	for i := int64(0); i < 20; i++ {
 		if err := logPut(l, 0, i, i); err != nil {
 			t.Fatal(err)
@@ -188,7 +190,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, shardFileName(0))
+	path := filepath.Join(dir, logName)
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -202,16 +204,12 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := &rp.Shards[0]
-	if sh.Torn == nil {
-		t.Fatal("torn tail not reported")
-	}
 	var ce *CorruptError
-	if !errors.As(error(sh.Torn), &ce) || ce.Shard != 0 || ce.Seq != 19 || ce.Reason != "truncated frame body" {
-		t.Fatalf("torn = %+v, want shard 0, seq 19, truncated frame body", sh.Torn)
+	if !errors.As(error(rp.Torn), &ce) || ce.Seq != 19 || ce.Reason != "truncated frame body" {
+		t.Fatalf("torn = %+v, want seq 19, truncated frame body", rp.Torn)
 	}
-	if sh.Keep != 19 {
-		t.Fatalf("kept %d records, want 19", sh.Keep)
+	if len(rp.Records) != 19 {
+		t.Fatalf("kept %d records, want 19", len(rp.Records))
 	}
 	got := applied(rp)
 	if len(got) != 19 || got[18] != 18 {
@@ -219,7 +217,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// Open truncates the tail and appends resume at seq 20.
-	l2, _ := openLog(t, dir, shards)
+	l2, _ := openLog(t, dir, 1)
 	if err := logPut(l2, 0, 99, 99); err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +228,10 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp2.Shards[0].Torn != nil {
-		t.Fatalf("still torn after Open: %v", rp2.Shards[0].Torn)
+	if rp2.Torn != nil {
+		t.Fatalf("still torn after Open: %v", rp2.Torn)
 	}
-	if got := applied(rp2); len(got) != 20 || got[99] != 99 {
+	if got := applied(rp2); len(got) != 20 || got[99] != 99 || rp2.Records[19].Seq != 20 {
 		t.Fatalf("replay after repair wrong: %v keys", len(got))
 	}
 }
@@ -251,160 +249,133 @@ func TestTornTailBitFlip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, shardFileName(0))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a bit in the last record's payload (its final byte).
-	data[len(data)-1] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Flip the last record's final payload byte.
+	flipByte(t, filepath.Join(dir, logName), func(size int) int { return size - 1 })
 	rp, err := Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := &rp.Shards[0]
-	if sh.Torn == nil || sh.Torn.Reason != "crc mismatch" || sh.Torn.Seq != 9 {
-		t.Fatalf("torn = %+v, want crc mismatch at seq 9", sh.Torn)
+	if rp.Torn == nil || rp.Torn.Reason != "crc mismatch" || rp.Torn.Seq != 9 {
+		t.Fatalf("torn = %+v, want crc mismatch at seq 9", rp.Torn)
 	}
 	if got := applied(rp); len(got) != 9 {
 		t.Fatalf("kept %d keys, want 9", len(got))
 	}
 }
 
-// TestMissingIntentHealsFromMarker: a committed composition whose
-// intent never reached one participant's disk is healed from the
-// coordinator's surviving evidence (the marker sits right after the
-// coordinator's intent, which carries the full effect list) — not
-// rolled back. Records acknowledged after the composition on the
-// surviving shards must come through untouched, and Open must
-// materialize the heal so later appends order correctly across another
-// crash.
-func TestMissingIntentHealsFromMarker(t *testing.T) {
-	const shards = 2
+// tornAfterComposition logs a put, one composition over every shard of
+// a 3-shard log, then a put whose frame it tears in half — the crash
+// cut the last record mid-write. It returns the directory.
+func tornAfterComposition(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, shards)
+	l, _ := openLog(t, dir, 3)
 	if err := logPut(l, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := logComposed(l, []int{0, 1}, []Effect{
-		{Shard: 0, Key: 10, Val: 7}, {Shard: 1, Key: 11, Val: 7},
-	}); err != nil {
+	if err := logComposed(l,
+		Effect{Shard: 0, Key: 10, Val: 7},
+		Effect{Remove: true, Shard: 1, Key: 0},
+		Effect{Delta: true, Shard: 2, Key: 11, Val: 3},
+	); err != nil {
 		t.Fatal(err)
 	}
-	if err := logPut(l, 0, 20, 9); err != nil { // acked after the composition: must survive
-		t.Fatal(err)
-	}
-	if err := logPut(l, 1, 21, 2); err != nil { // lost with shard 1's file below
+	if err := logPut(l, 1, 20, 9); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Lose shard 1's whole file: its intent vanishes, as after a crash
-	// where shard 1's batch never reached the disk.
-	if err := os.Truncate(filepath.Join(dir, shardFileName(1)), 0); err != nil {
+	path := filepath.Join(dir, logName)
+	info, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Truncate(path, info.Size()-10); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
 
+// TestMissingIntentHealsFromMarker: a composition that is the last
+// complete frame before a torn tail survives whole on every shard it
+// touched — there is no per-shard evidence left to go missing — and a
+// write to one of its keys after reopening replays after it.
+func TestMissingIntentHealsFromMarker(t *testing.T) {
+	dir := tornAfterComposition(t)
 	rp, err := Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rp.Aborted) != 0 {
-		t.Fatalf("aborted = %v, want none: the commit marker survived", rp.Aborted)
+	if rp.Torn == nil || len(rp.Records) != 2 {
+		t.Fatalf("torn = %v, %d records; want the third record cut", rp.Torn, len(rp.Records))
 	}
-	if len(rp.Healed) != 1 || rp.Healed[0] != 1 {
-		t.Fatalf("healed = %v, want the composition's id", rp.Healed)
-	}
-	want := map[int64]int64{0: 1, 10: 7, 11: 7, 20: 9}
-	assertState(t, applied(rp), want, "heal")
-	if k := rp.Shards[0].Keep; k != 4 {
-		t.Fatalf("shard 0 keeps %d records, want all 4", k)
-	}
+	want := map[int64]int64{10: 7, 11: 3}
+	assertState(t, applied(rp), want, "composition before a torn tail")
 
-	// Open re-appends the healed intent to shard 1's file; a later write
-	// to the healed key must then land after it, even across another
-	// scan.
-	l2, rp2 := openLog(t, dir, shards)
-	assertState(t, applied(rp2), want, "heal after open")
-	if err := logPut(l2, 1, 11, 99); err != nil {
+	l, rp2 := openLog(t, dir, 3)
+	assertState(t, applied(rp2), want, "after open")
+	if err := logPut(l, 0, 10, 99); err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	rp3, err := Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rp3.Healed) != 0 {
-		t.Fatalf("healed = %v after Open materialized the repair, want none", rp3.Healed)
-	}
-	want[11] = 99
-	assertState(t, applied(rp3), want, "write after heal")
+	want[10] = 99
+	assertState(t, applied(rp3), want, "write after reopen")
 }
 
-// TestLostMarkerRollsBack: with the commit marker lost (and no snapshot
-// coverage), the composition's fate is unknowable and it rolls back on
-// every participant by cutting at the intents — including, per the
-// documented power-loss caveat, records acknowledged after a
-// participant's intent.
+// TestLostMarkerRollsBack: a composition torn mid-frame recovers as
+// entirely absent — at every cut inside its frame — while the record
+// acknowledged before it survives: a later composition's tear never
+// takes an acknowledged record with it.
 func TestLostMarkerRollsBack(t *testing.T) {
-	const shards = 2
 	dir := t.TempDir()
-	l, _ := openLog(t, dir, shards)
-	if err := logPut(l, 0, 0, 1); err != nil { // survives: before the composition
-		t.Fatal(err)
-	}
-	// The two-phase protocol minus the marker: as after a crash where
-	// the coordinator's batch (intent+marker are appended back-to-back
-	// under the locks, so they share a flush) died between the
-	// participants' flushes. Here the coordinator's intent survives too,
-	// modeling a torn tail that cut exactly the marker.
-	effects := []Effect{{Shard: 0, Key: 10, Val: 7}, {Shard: 1, Key: 11, Val: 7}}
-	l.Lock(0)
-	l.Lock(1)
-	txid := l.NextTxID()
-	s0 := l.AppendIntent(0, txid, effects)
-	s1 := l.AppendIntent(1, txid, effects)
-	l.Unlock(1)
-	l.Unlock(0)
-	if err := l.Sync(0, s0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(1, s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := logPut(l, 1, 21, 2); err != nil { // after shard 1's intent: cut with it
+	l, _ := openLog(t, dir, 2)
+	if err := logPut(l, 1, 21, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	rp, err := Scan(dir)
+	path := filepath.Join(dir, logName)
+	acked, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rp.Aborted) != 1 || rp.Aborted[0] != txid {
-		t.Fatalf("aborted = %v, want exactly the markerless composition", rp.Aborted)
+	l, _ = openLog(t, dir, 2)
+	if err := logComposed(l, Effect{Shard: 0, Key: 10, Val: 7}, Effect{Shard: 1, Key: 21, Val: 8}); err != nil {
+		t.Fatal(err)
 	}
-	if len(rp.Healed) != 0 {
-		t.Fatalf("healed = %v, want none without a marker", rp.Healed)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
-	want := map[int64]int64{0: 1}
-	assertState(t, applied(rp), want, "rollback")
-	if k0, k1 := rp.Shards[0].Keep, rp.Shards[1].Keep; k0 != 1 || k1 != 0 {
-		t.Fatalf("keep = %d/%d, want 1/0 (cut at the intents)", k0, k1)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]int64{21: 2}
+	for cut := len(acked) + 1; cut < len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rp, err := Scan(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp.Torn == nil || rp.Torn.Off != int64(len(acked)) {
+			t.Fatalf("cut %d: torn = %+v, want a cut at offset %d", cut, rp.Torn, len(acked))
+		}
+		assertState(t, applied(rp), want, fmt.Sprintf("cut %d", cut))
 	}
 
-	l2, rp2 := openLog(t, dir, shards)
-	assertState(t, applied(rp2), want, "rollback after open")
-	// The truncated shard accepts new appends from scratch.
+	// Open drops the torn frame and the log accepts new appends.
+	l2, rp2 := openLog(t, dir, 2)
+	assertState(t, applied(rp2), want, "after open")
 	if err := logPut(l2, 1, 31, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -416,21 +387,15 @@ func TestLostMarkerRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	want[31] = 3
-	assertState(t, applied(rp3), want, "appends after rollback")
+	assertState(t, applied(rp3), want, "appends after the cut")
 }
 
-// TestCommitMarkerAlone: a commit marker with no surviving intent
-// anywhere must not count as a committed composition (nothing to apply,
-// nothing to trust).
+// TestCommitMarkerAlone: a composition whose frame is the last thing in
+// the file — the crash landed right after its write — is complete, and
+// survives whole on every shard it touched, removes and deltas included.
 func TestCommitMarkerAlone(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir, 1)
-	l.Lock(0)
-	seq := l.AppendCommit(0, 42)
-	l.Unlock(0)
-	if err := l.Sync(0, seq); err != nil {
-		t.Fatal(err)
-	}
+	dir := tornAfterComposition(t)
+	l, _ := openLog(t, dir, 3) // drops the torn put: the composition ends the file
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -438,20 +403,15 @@ func TestCommitMarkerAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rp.Aborted) != 1 || rp.Aborted[0] != 42 {
-		t.Fatalf("orphan commit marker not rolled back: %v", rp.Aborted)
+	if rp.Torn != nil || len(rp.Records) != 2 || len(rp.Records[1].Effects) != 3 {
+		t.Fatalf("torn = %v, %d records; want a clean file ending in the composition", rp.Torn, len(rp.Records))
 	}
-	if got := applied(rp); len(got) != 0 {
-		t.Fatalf("orphan marker materialized state: %v", got)
-	}
-	if rp.MaxTxID != 42 {
-		t.Fatalf("MaxTxID = %d, want 42 (ids must not be reused)", rp.MaxTxID)
-	}
+	assertState(t, applied(rp), map[int64]int64{10: 7, 11: 3}, "composition ending the file")
 }
 
 // TestCorruptSnapshotIgnored: a snap file that fails validation is
 // reported and ignored — the full log replays instead, losing nothing
-// (logs are never truncated by snapshotting).
+// (the log is never truncated by snapshotting).
 func TestCorruptSnapshotIgnored(t *testing.T) {
 	const shards = 2
 	dir := t.TempDir()
@@ -463,126 +423,58 @@ func TestCorruptSnapshotIgnored(t *testing.T) {
 		}
 		want[i] = i
 	}
-	seqs := make([]uint64, shards)
-	entries := make([][]Entry, shards)
-	for i := 0; i < shards; i++ {
-		l.Lock(i)
-		seqs[i] = l.SeqOf(i)
-		l.Unlock(i)
-	}
-	for k, v := range want {
-		i := int(k % shards)
-		entries[i] = append(entries[i], Entry{Key: k, Val: v})
-	}
-	if err := l.WriteSnapshots(seqs, entries); err != nil {
-		t.Fatal(err)
-	}
+	snapshotNow(t, l, want)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Corrupt shard 0's snap file body.
-	path := filepath.Join(dir, snapFileName(0))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipByte(t, filepath.Join(dir, snapName), func(size int) int { return size / 2 })
 
 	rp, err := Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var se *SnapshotError
-	if rp.Shards[0].SnapCorrupt == nil || !errors.As(rp.Shards[0].SnapCorrupt, &se) {
-		t.Fatalf("SnapCorrupt = %v, want typed *SnapshotError", rp.Shards[0].SnapCorrupt)
+	if !errors.As(rp.SnapCorrupt, &se) {
+		t.Fatalf("SnapCorrupt = %v, want typed *SnapshotError", rp.SnapCorrupt)
 	}
-	if rp.Shards[0].Snapshot != nil {
+	if rp.Snapshot != nil || rp.SnapSeq != 0 {
 		t.Fatal("corrupt snapshot still used")
-	}
-	if rp.Shards[1].Snapshot == nil {
-		t.Fatal("intact snapshot dropped")
 	}
 	assertState(t, applied(rp), want, "corrupt snapshot fallback")
 }
 
-// snapshotNow writes one snapshot generation the way Store.Snapshot
-// does: all commit locks at once, per-shard seq and contents, release,
-// write. perShard[i] is shard i's expected contents.
-func snapshotNow(t *testing.T, l *Log, perShard []map[int64]int64) {
-	t.Helper()
-	n := len(perShard)
-	seqs := make([]uint64, n)
-	entries := make([][]Entry, n)
-	for i := 0; i < n; i++ {
-		l.Lock(i)
-	}
-	for i := 0; i < n; i++ {
-		seqs[i] = l.SeqOf(i)
-		for k, v := range perShard[i] {
-			entries[i] = append(entries[i], Entry{Key: k, Val: v})
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		l.Unlock(i)
-	}
-	if err := l.WriteSnapshots(seqs, entries); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCorruptSnapshotPreSnapshotComposition: a composition committed
-// and snapshotted, followed by an acknowledged put, then one shard's
-// snap file corrupts. Snapshot coverage is per shard, but the
-// composition's commit decision must not be: the corrupt shard falls
-// back to its full log (whose evidence is all there — logs are never
-// truncated by snapshotting), the composition stays committed, and
-// nothing is rolled back or torn.
+// and snapshotted, followed by an acknowledged put, then the snap file
+// corrupts. Recovery falls back to the full log, whose records are all
+// there, so the composition stays whole and nothing is cut.
 func TestCorruptSnapshotPreSnapshotComposition(t *testing.T) {
 	const shards = 2
 	dir := t.TempDir()
 	l, _ := openLog(t, dir, shards)
-	if err := logComposed(l, []int{0, 1}, []Effect{
-		{Shard: 0, Key: 100, Val: 1}, {Shard: 1, Key: 101, Val: 2},
-	}); err != nil {
+	if err := logComposed(l, Effect{Shard: 0, Key: 100, Val: 1}, Effect{Shard: 1, Key: 101, Val: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := logPut(l, 0, 200, 5); err != nil { // acked: must survive
 		t.Fatal(err)
 	}
-	snapshotNow(t, l, []map[int64]int64{{100: 1, 200: 5}, {101: 2}})
+	want := map[int64]int64{100: 1, 101: 2, 200: 5}
+	snapshotNow(t, l, want)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	path := filepath.Join(dir, snapFileName(0))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipByte(t, filepath.Join(dir, snapName), func(size int) int { return size / 2 })
 
 	rp, err := Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Shards[0].SnapCorrupt == nil {
+	if rp.SnapCorrupt == nil {
 		t.Fatal("corrupt snap file not reported")
 	}
-	if len(rp.Aborted) != 0 {
-		t.Fatalf("aborted = %v: a snapshotted composition was rolled back", rp.Aborted)
+	if rp.Torn != nil || len(rp.Records) != 2 {
+		t.Fatalf("torn = %v, %d records: the log was cut", rp.Torn, len(rp.Records))
 	}
-	want := map[int64]int64{100: 1, 101: 2, 200: 5}
 	assertState(t, applied(rp), want, "corrupt snap, pre-snapshot composition")
-	if k, n := rp.Shards[0].Keep, len(rp.Shards[0].Records); k != n {
-		t.Fatalf("shard 0 keeps %d of %d records; its log was cut", k, n)
-	}
 
 	l2, rp2 := openLog(t, dir, shards)
 	assertState(t, applied(rp2), want, "after open")
@@ -596,69 +488,231 @@ func TestCorruptSnapshotPreSnapshotComposition(t *testing.T) {
 	assertState(t, applied(rp3), want, "after open, rescanned")
 }
 
-// TestMixedSnapshotGenerations: a crash between WriteSnapshots' renames
-// leaves shard 0 with the new generation and shard 1 with the old one.
-// A composition inside the gap is covered by shard 0's snapshot but not
-// shard 1's; coverage anywhere proves the whole composition durable
-// (the barrier synced every log first), so recovery must equal the
-// full-log replay — nothing aborted, nothing torn.
+// TestMixedSnapshotGenerations: a crash between the second snapshot's
+// tmp write and its rename leaves the first snapshot in place and the
+// second only in the tmp file. Recovery is the old snapshot plus the log
+// suffix, a composition and a put included, and equals the full replay.
 func TestMixedSnapshotGenerations(t *testing.T) {
 	const shards = 2
 	dir := t.TempDir()
 	l, _ := openLog(t, dir, shards)
-	perShard := []map[int64]int64{{}, {}}
+	want := map[int64]int64{}
 	for i := int64(0); i < 10; i++ {
-		sh := int(i % shards)
-		if err := logPut(l, sh, i, i); err != nil {
+		if err := logPut(l, int(i%shards), i, i); err != nil {
 			t.Fatal(err)
 		}
-		perShard[sh][i] = i
+		want[i] = i
 	}
-	snapshotNow(t, l, perShard)
-	gen1, err := os.ReadFile(filepath.Join(dir, snapFileName(1)))
+	snapshotNow(t, l, want)
+	path := filepath.Join(dir, snapName)
+	gen1, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := logComposed(l, []int{0, 1}, []Effect{
-		{Shard: 0, Key: 300, Val: 7}, {Shard: 1, Key: 301, Val: 8},
-	}); err != nil {
+	if err := logComposed(l, Effect{Shard: 0, Key: 300, Val: 7}, Effect{Shard: 1, Key: 301, Val: 8}); err != nil {
 		t.Fatal(err)
 	}
-	perShard[0][300], perShard[1][301] = 7, 8
 	if err := logPut(l, 1, 400, 9); err != nil { // acked: must survive
 		t.Fatal(err)
 	}
-	perShard[1][400] = 9
-	snapshotNow(t, l, perShard)
+	want[300], want[301], want[400] = 7, 8, 9
+	snapshotNow(t, l, want)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The crash: shard 1's gen-2 rename never happened.
-	if err := os.WriteFile(filepath.Join(dir, snapFileName(1)), gen1, 0o644); err != nil {
+	// The crash: generation 2 reached its tmp file, the rename never
+	// happened.
+	if err := os.Rename(path, path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, gen1, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	want := map[int64]int64{}
-	for _, m := range perShard {
-		for k, v := range m {
-			want[k] = v
-		}
-	}
 	rp, err := Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rp.Aborted) != 0 {
-		t.Fatalf("aborted = %v: mixed snapshot generations rolled back a committed composition", rp.Aborted)
+	if rp.SnapSeq != 10 {
+		t.Fatalf("snapshot at seq %d, want the first generation's 10", rp.SnapSeq)
 	}
-	assertState(t, applied(rp), want, "mixed generations")
+	assertState(t, applied(rp), want, "old snapshot + suffix")
 	full, err := ScanNoSnapshots(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertState(t, applied(full), want, "full log")
+}
+
+// TestPrefixEnumeration is the exhaustive torn-log table. A scripted log
+// of puts, removes, adds, single-shard and cross-shard compositions, with
+// one snapshot in the middle, is truncated at every byte offset, and
+// separately has every byte of every record flipped. Each case must
+// recover exactly the model state after its longest whole-record prefix
+// (or the snapshot, if that is later) — which makes every composition,
+// being one record, all or nothing — and Scan twice, and Open then Scan,
+// must agree with it.
+func TestPrefixEnumeration(t *testing.T) {
+	const shards = 4
+	src := t.TempDir()
+	l, _ := openLog(t, src, shards)
+	eff := func(key int64) Effect { return Effect{Shard: int(key % shards), Key: key} }
+	models := []map[int64]int64{{}} // models[i]: the state after i records
+	const snapAt = 20
+	for i := int64(0); i < 40; i++ {
+		var effects []Effect
+		switch k := i % 8; i % 5 {
+		case 0: // put
+			e := eff(k)
+			e.Val = i
+			effects = []Effect{e}
+		case 1: // add
+			e := eff((k + 3) % 8)
+			e.Delta, e.Val = true, i
+			effects = []Effect{e}
+		case 2: // remove
+			e := eff((k + 5) % 8)
+			e.Remove = true
+			effects = []Effect{e}
+		case 3: // single-shard composition: k and k+4 share a shard
+			a, b := eff(k%4), eff(k%4+4)
+			a.Val, b.Delta, b.Val = -i, true, 2
+			effects = []Effect{a, b}
+		case 4: // cross-shard composition: three adjacent keys, three shards
+			a, b, c := eff(k), eff(k+1), eff(k+2)
+			a.Val, b.Remove, c.Delta, c.Val = i*10, true, true, -1
+			effects = []Effect{a, b, c}
+		}
+		if err := logComposed(l, effects...); err != nil {
+			t.Fatal(err)
+		}
+		m := maps.Clone(models[len(models)-1])
+		for j := range effects {
+			apply(m, &effects[j])
+		}
+		models = append(models, m)
+		if len(models)-1 == snapAt {
+			snapshotNow(t, l, m)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(filepath.Join(src, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpFull, err := Scan(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := []int{0} // offs[i]: where record i+1's frame starts
+	for _, r := range rpFull.Records {
+		offs = append(offs, offs[len(offs)-1]+frameHeaderSize+len(AppendPayload(nil, r.Seq, r.Effects)))
+	}
+	if len(offs) != len(models) || offs[len(offs)-1] != len(full) {
+		t.Fatalf("scripted %d records into %d bytes; scanned %d records over %d", len(models)-1, len(full), len(offs)-1, offs[len(offs)-1])
+	}
+
+	dir := t.TempDir()
+	for _, name := range []string{metaName, snapName} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check recovers data, which holds exactly `whole` intact records.
+	check := func(what string, data []byte, whole int) {
+		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := models[max(whole, snapAt)]
+		rp, err := Scan(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(rp.Records) != whole || (rp.Torn == nil) != (len(data) == offs[whole]) {
+			t.Fatalf("%s: %d records, torn %v; want %d records", what, len(rp.Records), rp.Torn, whole)
+		}
+		if got := applied(rp); !maps.Equal(got, want) {
+			t.Fatalf("%s: recovered %v, want the state after %d records %v", what, got, max(whole, snapAt), want)
+		}
+		if rp2, err := Scan(dir); err != nil || !reflect.DeepEqual(rp, rp2) {
+			t.Fatalf("%s: a second Scan differs (%v)", what, err)
+		}
+		lo, rpOpen := openLog(t, dir, shards)
+		if err := lo.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rp3, err := Scan(dir)
+		if err != nil {
+			t.Fatalf("%s: scan after open: %v", what, err)
+		}
+		if !reflect.DeepEqual(rpOpen.Records, rp.Records) || rp3.Torn != nil ||
+			!reflect.DeepEqual(rp3.Records, rp.Records) || !maps.Equal(applied(rp3), want) {
+			t.Fatalf("%s: Open then Scan recovered differently", what)
+		}
+	}
+	whole := 0
+	for cut := 0; cut <= len(full); cut++ {
+		for whole+1 < len(offs) && offs[whole+1] <= cut {
+			whole++
+		}
+		check(fmt.Sprintf("cut %d", cut), full[:cut], whole)
+	}
+	for i := 0; i+1 < len(offs); i++ {
+		for off := offs[i]; off < offs[i+1]; off++ {
+			data := append([]byte(nil), full...)
+			data[off] ^= 0xff
+			check(fmt.Sprintf("record %d, byte %d flipped", i+1, off), data, i)
+		}
+	}
+}
+
+// TestVersionRefusal: a directory of the previous format — a v1 meta
+// file, or per-shard shard-*.wal files — is refused with a typed
+// *VersionError by Open and Scan alike, and left exactly as it was.
+func TestVersionRefusal(t *testing.T) {
+	v1 := []byte("oewal001\x00\x00\x00\x10")
+	v1 = append(v1, 0, 0, 0, 0)
+	for name, files := range map[string]map[string][]byte{
+		"v1 meta":     {metaName: v1},
+		"shard files": {"shard-0000.wal": {1, 2, 3}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for f, b := range files {
+				if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, openErr := Open(dir, Options{Shards: 16})
+			_, scanErr := Scan(dir)
+			for _, err := range []error{openErr, scanErr} {
+				var ve *VersionError
+				if !errors.As(err, &ve) || ve.Dir != dir || ve.Found == "" {
+					t.Fatalf("err = %v, want a *VersionError naming %s", err, dir)
+				}
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(files) {
+				t.Fatalf("the refused directory changed: %d entries, had %d", len(entries), len(files))
+			}
+			for f, b := range files {
+				if got, err := os.ReadFile(filepath.Join(dir, f)); err != nil || string(got) != string(b) {
+					t.Fatalf("%s rewritten (%v)", f, err)
+				}
+			}
+		})
+	}
 }
 
 // TestSummaryMentionsRecovery pins the startup log line CI greps for.
@@ -669,7 +723,7 @@ func TestSummaryMentionsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := rp.Summary()
-	if len(s) == 0 || s[:14] != "wal: recovered" {
+	if len(s) < 14 || s[:14] != "wal: recovered" {
 		t.Fatalf("summary = %q", s)
 	}
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -13,29 +12,21 @@ type Entry struct {
 }
 
 // snapMagic identifies snap files (format version in the suffix).
-var snapMagic = [8]byte{'o', 'e', 's', 'n', 'a', 'p', '0', '1'}
+var snapMagic = [8]byte{'o', 'e', 's', 'n', 'a', 'p', '0', '2'}
 
-// snapFileName names shard i's snapshot file.
-func snapFileName(i int) string { return fmt.Sprintf("shard-%04d.snap", i) }
-
-// SnapshotError is the typed validation error of snap files; recovery
+// SnapshotError is the typed validation error of the snap file; recovery
 // treats a corrupt snapshot as absent and replays the full log instead
-// (see ShardState.SnapCorrupt).
+// (see Replay.SnapCorrupt).
 type SnapshotError struct {
-	Shard  int
 	Reason string
 }
 
-func (e *SnapshotError) Error() string {
-	return fmt.Sprintf("wal: shard %d snapshot: %s", e.Shard, e.Reason)
-}
+func (e *SnapshotError) Error() string { return "wal: snapshot: " + e.Reason }
 
-// appendSnapshot encodes one shard's snapshot: magic, shard, covered
-// sequence, entry count, entries, trailing CRC-32C over everything
-// before it.
-func appendSnapshot(dst []byte, shard int, seq uint64, entries []Entry) []byte {
+// appendSnapshot encodes a snapshot: magic, covered sequence, entry
+// count, entries, trailing CRC-32C over everything before it.
+func appendSnapshot(dst []byte, seq uint64, entries []Entry) []byte {
 	dst = append(dst, snapMagic[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(shard))
 	dst = binary.BigEndian.AppendUint64(dst, seq)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(entries)))
 	for _, e := range entries {
@@ -45,71 +36,55 @@ func appendSnapshot(dst []byte, shard int, seq uint64, entries []Entry) []byte {
 	return binary.BigEndian.AppendUint32(dst, checksum(dst))
 }
 
-// readSnapshot parses shard i's snap file. Missing files return the
+// readSnapshot parses the snap file at path. A missing file returns the
 // underlying not-exist error; anything malformed returns a typed
 // *SnapshotError.
-func readSnapshot(path string, i int) ([]Entry, uint64, error) {
+func readSnapshot(path string) ([]Entry, uint64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	serr := func(reason string) ([]Entry, uint64, error) {
-		return nil, 0, &SnapshotError{Shard: i, Reason: reason}
+		return nil, 0, &SnapshotError{Reason: reason}
 	}
-	if len(b) < 32 || [8]byte(b[:8]) != snapMagic {
+	if len(b) < 28 || [8]byte(b[:8]) != snapMagic {
 		return serr("not a snapshot file")
 	}
 	if checksum(b[:len(b)-4]) != binary.BigEndian.Uint32(b[len(b)-4:]) {
 		return serr("checksum mismatch")
 	}
-	if int(binary.BigEndian.Uint32(b[8:])) != i {
-		return serr("shard index mismatch")
-	}
-	seq := binary.BigEndian.Uint64(b[12:])
-	count := binary.BigEndian.Uint64(b[20:])
-	body := b[28 : len(b)-4]
-	if uint64(len(body)) != count*16 {
+	seq := binary.BigEndian.Uint64(b[8:])
+	count := binary.BigEndian.Uint64(b[16:])
+	body := b[24 : len(b)-4]
+	if len(body)%16 != 0 || uint64(len(body)/16) != count {
 		return serr("entry count mismatch")
 	}
 	entries := make([]Entry, 0, count)
-	for len(body) > 0 {
+	for ; len(body) > 0; body = body[16:] {
 		entries = append(entries, Entry{
 			Key: int64(binary.BigEndian.Uint64(body)),
 			Val: int64(binary.BigEndian.Uint64(body[8:])),
 		})
-		body = body[16:]
 	}
 	return entries, seq, nil
 }
 
-// WriteSnapshots persists one snapshot generation: entries[i] is shard
-// i's full contents as of log sequence seqs[i], captured by the caller
-// under every shard's commit lock at once (so each composition is
-// entirely inside or entirely outside the generation). The logs are
-// synced through the covered sequences before any snap file is
-// written — a snap file on disk therefore implies its generation's log
-// prefix is durable on every shard, which keeps mixed-generation
-// directories (crash mid-write) recoverable. Files land via tmp+rename.
-func (l *Log) WriteSnapshots(seqs []uint64, entries [][]Entry) error {
-	if len(seqs) != len(l.shards) || len(entries) != len(l.shards) {
-		return fmt.Errorf("wal: snapshot arity %d/%d, want %d", len(seqs), len(entries), len(l.shards))
+// WriteSnapshot persists the store's full contents as of log sequence
+// seq, captured by the caller under every shard's commit lock at once
+// (so each composition is entirely inside or entirely outside it). The
+// log is synced through seq first, so the records the snapshot folds in
+// stay on disk behind it; the file lands via tmp+rename, so a crash
+// leaves either the previous snapshot or this one, never a mix.
+func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
+	if err := l.Sync(0, seq); err != nil {
+		return err
 	}
-	for i := range l.shards {
-		if err := l.Sync(i, seqs[i]); err != nil {
-			return err
-		}
+	path := filepath.Join(l.dir, snapName)
+	if err := writeFileSync(path+".tmp", appendSnapshot(nil, seq, entries), l.fsync); err != nil {
+		return err
 	}
-	var buf []byte
-	for i := range l.shards {
-		buf = appendSnapshot(buf[:0], i, seqs[i], entries[i])
-		path := filepath.Join(l.dir, snapFileName(i))
-		tmp := path + ".tmp"
-		if err := writeFileSync(tmp, buf, l.fsync); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return err
-		}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		return err
 	}
 	if l.fsync {
 		return syncDir(l.dir)

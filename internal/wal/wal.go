@@ -25,18 +25,30 @@ type Options struct {
 type Stats struct {
 	Appends uint64 // records appended
 	Syncs   uint64 // flush batches fully written (fsync syscalls when enabled)
-	Bytes   uint64 // bytes the OS accepted into log files
+	Bytes   uint64 // bytes the OS accepted into the log file
 }
 
-// shardLog is one shard's log: a commit lock ordering appends with the
-// shard's transactions, and a flush side implementing group commit.
-type shardLog struct {
-	// mu is the commit lock. The store holds it across the shard's
-	// transaction, the sequence assignment and the buffer append, so log
-	// order equals commit order. Sync must not be called with mu held.
-	mu  sync.Mutex
-	seq uint64 // last assigned sequence, guarded by mu
-	buf []byte // pending batch, guarded by mu
+// commitLock is one shard's commit lock, padded to a cache line so
+// neighbouring shards' committers do not false-share.
+type commitLock struct {
+	sync.Mutex
+	_ [56]byte
+}
+
+// Log is an open write-ahead log: one append-only file, a meta file and
+// at most one snapshot, all inside one directory. Create with Open.
+type Log struct {
+	dir   string
+	fsync bool
+
+	// locks are the per-shard commit locks. The store holds a shard's
+	// lock across the shard's transaction and the append of the record
+	// it commits, so each shard's commit order is its log order.
+	locks []commitLock
+
+	mu  sync.Mutex // buffer lock: seq and buf
+	seq uint64     // last assigned sequence
+	buf []byte     // pending batch
 
 	fmu      sync.Mutex // flush state below
 	cond     *sync.Cond // signalled when durable advances or flushing ends
@@ -46,26 +58,13 @@ type shardLog struct {
 	f        *os.File
 	err      error // sticky first I/O error
 
-	// bytes is this shard's slice of Log.bytes (the per-shard telemetry
-	// the stats endpoint exposes as shard-labeled series).
-	bytes atomic.Uint64
-}
-
-// Log is an open write-ahead log: one file per shard plus a meta file,
-// all inside one directory. Create with Open.
-type Log struct {
-	dir    string
-	fsync  bool
-	shards []shardLog
-	txid   atomic.Uint64
-
 	appends atomic.Uint64
 	syncs   atomic.Uint64
 	bytes   atomic.Uint64
 }
 
 // Shards returns the shard count the log was opened with.
-func (l *Log) Shards() int { return len(l.shards) }
+func (l *Log) Shards() int { return len(l.locks) }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
@@ -86,26 +85,34 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// ShardBytes returns the bytes the OS accepted into shard i's log file
-// (zero on a nil receiver): the per-shard split of Stats.Bytes, summed
-// over every shard it equals the aggregate at any quiescent point.
-func (l *Log) ShardBytes(i int) uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.shards[i].bytes.Load()
+// File names inside a log directory. The meta file is the directory's
+// identity: magic+version, shard count, CRC. A shard-count mismatch is a
+// hard error — effects are tagged by shard index, so replaying into a
+// different layout would scatter keys.
+const (
+	metaName = "wal.meta"
+	logName  = "log.wal"
+	snapName = "log.snap"
+)
+
+var metaMagic = [8]byte{'o', 'e', 'w', 'a', 'l', '0', '0', '2'}
+
+// oldLogName is shard 0's file in the per-shard format 001, which
+// created every shard's file when it opened a directory.
+const oldLogName = "shard-0000.wal"
+
+// VersionError reports a directory written in an older log format: a
+// meta file with a previous magic, or the per-shard files of format
+// 001. Open and Scan refuse such a directory rather than misread or
+// overwrite it; recover it with the build that wrote it.
+type VersionError struct {
+	Dir   string
+	Found string // the meta magic or old-format file name found
 }
 
-// metaName is the directory's identity file: magic+version, shard
-// count, CRC. A shard-count mismatch is a hard error — records route
-// effects by shard index, so replaying into a different layout would
-// scatter keys.
-const metaName = "wal.meta"
-
-var metaMagic = [8]byte{'o', 'e', 'w', 'a', 'l', '0', '0', '1'}
-
-// shardFileName names shard i's log file.
-func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.wal", i) }
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("wal: %s holds an unsupported log format (found %q, this build reads %q)", e.Dir, e.Found, metaMagic[:])
+}
 
 // writeMeta creates the meta file.
 func writeMeta(dir string, shards int) error {
@@ -120,11 +127,18 @@ func writeMeta(dir string, shards int) error {
 	return os.Rename(tmp, filepath.Join(dir, metaName))
 }
 
-// readMeta parses the meta file, returning the shard count.
+// readMeta parses the meta file, returning the shard count, after
+// refusing a directory of an older format.
 func readMeta(dir string) (int, error) {
+	if _, err := os.Stat(filepath.Join(dir, oldLogName)); err == nil {
+		return 0, &VersionError{Dir: dir, Found: oldLogName}
+	}
 	b, err := os.ReadFile(filepath.Join(dir, metaName))
 	if err != nil {
 		return 0, err
+	}
+	if len(b) >= 8 && string(b[:5]) == "oewal" && [8]byte(b[:8]) != metaMagic {
+		return 0, &VersionError{Dir: dir, Found: string(b[:8])}
 	}
 	if len(b) != 16 || [8]byte(b[:8]) != metaMagic {
 		return 0, fmt.Errorf("wal: %s: not a wal meta file", metaName)
@@ -136,9 +150,9 @@ func readMeta(dir string) (int, error) {
 }
 
 // Open opens (creating if necessary) the log in dir, recovers the
-// existing contents, truncates any torn or rolled-back tails, and
-// returns the log positioned for appends together with the recovered
-// state to replay. A fresh directory yields an empty Replay.
+// existing contents, truncates any torn tail, and returns the log
+// positioned for appends together with the recovered state to replay. A
+// fresh directory yields an empty Replay.
 func Open(dir string, o Options) (*Log, *Replay, error) {
 	if o.Shards < 1 || o.Shards > maxShard {
 		return nil, nil, fmt.Errorf("wal: shard count %d out of range [1, %d]", o.Shards, maxShard)
@@ -159,81 +173,29 @@ func Open(dir string, o Options) (*Log, *Replay, error) {
 		return nil, nil, err
 	}
 
-	rp, err := scan(dir, o.Shards, scanOpts{})
+	rp, err := scan(dir, o.Shards, true)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	l := &Log{dir: dir, fsync: o.Fsync, shards: make([]shardLog, o.Shards)}
-	l.txid.Store(rp.MaxTxID)
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.cond = sync.NewCond(&s.fmu)
-		path := filepath.Join(dir, shardFileName(i))
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			l.closeFiles()
-			return nil, nil, err
-		}
-		sh := &rp.Shards[i]
-		if err := f.Truncate(sh.TruncateTo); err != nil {
-			f.Close()
-			l.closeFiles()
-			return nil, nil, err
-		}
-		if _, err := f.Seek(sh.TruncateTo, 0); err != nil {
-			f.Close()
-			l.closeFiles()
-			return nil, nil, err
-		}
-		s.f = f
-		s.seq = sh.LastSeq
-		s.durable = sh.LastSeq
-		// Materialize the shard's healed compositions (see
-		// ShardState.repair): re-append the evidence a crash kept off
-		// this shard's disk, with fresh sequences, so the heal is
-		// ordinary log state — without this, a later append followed by
-		// another crash would replay the healed effects after it, out of
-		// order.
-		if len(sh.repair) > 0 {
-			var buf []byte
-			for j := range sh.repair {
-				s.seq++
-				sh.repair[j].Seq = s.seq
-				buf = appendFrame(buf, &sh.repair[j])
-			}
-			_, err := f.Write(buf)
-			if err == nil && o.Fsync {
-				err = f.Sync()
-			}
-			if err != nil {
-				l.closeFiles()
-				return nil, nil, err
-			}
-			s.durable = s.seq
-			sh.LastSeq = s.seq
-			l.appends.Add(uint64(len(sh.repair)))
-			l.syncs.Add(1)
-			l.bytes.Add(uint64(len(buf)))
-			s.bytes.Add(uint64(len(buf)))
-		}
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, nil, err
 	}
-	if o.Fsync {
-		if err := syncDir(dir); err != nil {
-			l.closeFiles()
-			return nil, nil, err
-		}
+	if err = f.Truncate(rp.end); err == nil {
+		_, err = f.Seek(rp.end, 0)
 	}
+	if err == nil && o.Fsync {
+		err = syncDir(dir)
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	l := &Log{dir: dir, fsync: o.Fsync, locks: make([]commitLock, o.Shards), f: f}
+	l.cond = sync.NewCond(&l.fmu)
+	l.seq = rp.lastSeq()
+	l.durable = l.seq
 	return l, rp, nil
-}
-
-// closeFiles releases whatever files Open managed to open.
-func (l *Log) closeFiles() {
-	for i := range l.shards {
-		if f := l.shards[i].f; f != nil {
-			f.Close()
-		}
-	}
 }
 
 // syncDir fsyncs a directory so created/renamed entries survive power
@@ -250,151 +212,116 @@ func syncDir(dir string) error {
 	return err
 }
 
-// NextTxID allocates a composition transaction id (unique for the life
-// of the directory: Open resumes past every id seen in the log).
-// Composed committers must allocate it while holding every
-// participant's commit lock (as the store does), so that id order
-// matches log order on any shard two compositions share — recovery
-// orders healed evidence by id (see resolveCompositions).
-func (l *Log) NextTxID() uint64 { return l.txid.Add(1) }
-
 // Lock acquires shard's commit lock. The caller runs the shard's
-// transaction, appends the records it commits, and releases with
-// Unlock before calling Sync.
-func (l *Log) Lock(shard int) { l.shards[shard].mu.Lock() }
+// transaction, appends the record it commits, and releases with Unlock
+// before calling Sync.
+func (l *Log) Lock(shard int) { l.locks[shard].Lock() }
 
 // Unlock releases shard's commit lock.
-func (l *Log) Unlock(shard int) { l.shards[shard].mu.Unlock() }
+func (l *Log) Unlock(shard int) { l.locks[shard].Unlock() }
 
-// SeqOf returns shard's last assigned sequence. Callers must hold the
-// shard's commit lock.
-func (l *Log) SeqOf(shard int) uint64 { return l.shards[shard].seq }
+// Seq returns the last assigned sequence number. Under every commit lock
+// (as Store.Snapshot reads it) no append is in flight, so it is the exact
+// log position of the state those locks freeze.
+func (l *Log) Seq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seq
+}
 
-// append assigns the next sequence and buffers r's frame. Callers must
-// hold the shard's commit lock.
-func (l *Log) append(shard int, r *Record) uint64 {
-	s := &l.shards[shard]
-	s.seq++
-	r.Seq = s.seq
-	s.buf = appendFrame(s.buf, r)
+// Append buffers one record carrying effects and returns its sequence
+// number. The caller holds the commit lock of every effect's shard, so
+// the record takes its place in each of those shards' commit order; a
+// multi-key mutation is one record, so no torn tail can split it.
+//
+//compose:noalloc
+func (l *Log) Append(effects []Effect) uint64 {
+	l.mu.Lock()
+	l.seq++
+	seq := l.seq
+	l.buf = appendFrame(l.buf, seq, effects)
+	l.mu.Unlock()
 	l.appends.Add(1)
-	return s.seq
+	return seq
 }
 
-// AppendPut buffers a put record. Callers must hold the shard's commit
-// lock.
+// AppendPut buffers a one-put record on shard. Callers must hold the
+// shard's commit lock.
+//
+//compose:noalloc
 func (l *Log) AppendPut(shard int, key, val int64) uint64 {
-	r := Record{Kind: KindPut, Key: key, Val: val}
-	return l.append(shard, &r)
+	e := [1]Effect{{Shard: shard, Key: key, Val: val}}
+	return l.Append(e[:])
 }
 
-// AppendRemove buffers a remove record. Callers must hold the shard's
-// commit lock.
-func (l *Log) AppendRemove(shard int, key int64) uint64 {
-	r := Record{Kind: KindRemove, Key: key}
-	return l.append(shard, &r)
-}
-
-// AppendAdd buffers a commutative delta record (replay re-applies the
-// delta to whatever the key holds). Callers must hold the shard's
-// commit lock.
-func (l *Log) AppendAdd(shard int, key, delta int64) uint64 {
-	r := Record{Kind: KindAdd, Key: key, Val: delta}
-	return l.append(shard, &r)
-}
-
-// AppendIntent buffers a composition's intent record (its full effect
-// list) on shard. Callers must hold the commit lock of every effect's
-// shard — the two-phase protocol appends the same intent to each
-// participant.
-func (l *Log) AppendIntent(shard int, txid uint64, effects []Effect) uint64 {
-	r := Record{Kind: KindIntent, TxID: txid, Effects: effects}
-	return l.append(shard, &r)
-}
-
-// AppendCommit buffers a composition's commit marker on its coordinator
-// shard (the lowest participant index). Callers must hold the same
-// locks as for AppendIntent.
-func (l *Log) AppendCommit(shard int, txid uint64) uint64 {
-	r := Record{Kind: KindCommit, TxID: txid}
-	return l.append(shard, &r)
-}
-
-// Sync blocks until shard's records through seq are durable (written;
+// Sync blocks until the records through seq are durable (written;
 // fsynced when the log was opened with Fsync), grouping concurrent
-// committers into shared flushes: the first waiter becomes the leader,
-// swaps the shard's buffer for the spare, writes the whole batch in one
-// write(2), and broadcasts; later committers ride the next batch. Must
-// not be called while holding the shard's commit lock. The first I/O
-// error is sticky: every subsequent Sync on the shard reports it.
-func (l *Log) Sync(shard int, seq uint64) error {
-	s := &l.shards[shard]
-	s.fmu.Lock()
-	for s.durable < seq && s.err == nil {
-		if s.flushing {
-			s.cond.Wait()
+// committers of every shard into shared flushes: the first waiter
+// becomes the leader, swaps the buffer for the spare, writes the whole
+// batch in one write(2), and broadcasts; later committers ride the next
+// batch. It should not be called while holding a commit lock, which
+// would stall the shard behind the I/O. The first I/O error is sticky:
+// every subsequent Sync reports it.
+//
+// The shard argument is unused — sequences are global — and kept for
+// callers that pass one.
+func (l *Log) Sync(_ int, seq uint64) error {
+	l.fmu.Lock()
+	for l.durable < seq && l.err == nil {
+		if l.flushing {
+			l.cond.Wait()
 			continue
 		}
-		s.flushing = true
-		spare := s.spare
-		s.spare = nil
-		s.fmu.Unlock()
+		l.flushing = true
+		spare := l.spare
+		l.spare = nil
+		l.fmu.Unlock()
 
-		s.mu.Lock()
-		batch := s.buf
-		top := s.seq
-		s.buf = spare[:0]
-		s.mu.Unlock()
+		l.mu.Lock()
+		batch := l.buf
+		top := l.seq
+		l.buf = spare[:0]
+		l.mu.Unlock()
 
 		var err error
 		if len(batch) > 0 {
 			var n int
-			n, err = s.f.Write(batch)
+			n, err = l.f.Write(batch)
 			if err == nil && l.fsync {
-				err = s.f.Sync()
+				err = l.f.Sync()
 			}
 			// Count only durable work: the bytes Write reported written,
 			// and the flush only when it fully succeeded — a failed
 			// flush must not inflate the wal_* CSV columns.
 			l.bytes.Add(uint64(n))
-			s.bytes.Add(uint64(n))
 			if err == nil {
 				l.syncs.Add(1)
 			}
 		}
 
-		s.fmu.Lock()
-		s.spare = batch[:0]
-		s.flushing = false
+		l.fmu.Lock()
+		l.spare = batch[:0]
+		l.flushing = false
 		if err != nil {
-			s.err = err
-		} else if top > s.durable {
-			s.durable = top
+			l.err = err
+		} else if top > l.durable {
+			l.durable = top
 		}
-		s.cond.Broadcast()
+		l.cond.Broadcast()
 	}
-	err := s.err
-	s.fmu.Unlock()
+	err := l.err
+	l.fmu.Unlock()
 	return err
 }
 
-// Close flushes every shard's pending records and closes the files.
+// Close flushes the pending records and closes the file.
 func (l *Log) Close() error {
 	if l == nil {
 		return nil
 	}
-	var first error
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		seq := s.seq
-		s.mu.Unlock()
-		if err := l.Sync(i, seq); err != nil && first == nil {
-			first = err
-		}
-		if err := s.f.Close(); err != nil && first == nil {
-			first = err
-		}
+	err := l.Sync(0, l.Seq())
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	return first
+	return err
 }

@@ -2,8 +2,8 @@
 // committers produce, replaying the log equals the sequential
 // application of exactly the acknowledged operations in commit order —
 // no reorder, no loss, no invention. The commit-lock protocol (append
-// under the shard's lock, Sync after releasing it) is exercised the way
-// the store drives it.
+// under every touched shard's lock, Sync after releasing them) is
+// exercised the way the store drives it.
 package wal
 
 import (
@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -35,14 +36,23 @@ func openLog(t *testing.T, dir string, shards int) (*Log, *Replay) {
 	return l, rp
 }
 
-// applied replays rp into one flat map (keys are globally unique in
+// apply folds one effect into a flat map (keys are globally unique in
 // these tests, so shard routing cannot collide).
+func apply(m map[int64]int64, e *Effect) {
+	switch {
+	case e.Remove:
+		delete(m, e.Key)
+	case e.Delta:
+		m[e.Key] += e.Val
+	default:
+		m[e.Key] = e.Val
+	}
+}
+
+// applied replays rp into one flat map.
 func applied(rp *Replay) map[int64]int64 {
 	m := map[int64]int64{}
-	rp.Apply(
-		func(key, val int64) { m[key] = val },
-		func(key int64) { delete(m, key) },
-		func(key, delta int64) { m[key] += delta })
+	rp.Apply(func(e *Effect) { apply(m, e) })
 	return m
 }
 
@@ -56,35 +66,32 @@ func logPut(l *Log, shard int, key, val int64) error {
 
 // logRemove is logPut's remove twin.
 func logRemove(l *Log, shard int, key int64) error {
-	l.Lock(shard)
-	seq := l.AppendRemove(shard, key)
-	l.Unlock(shard)
-	return l.Sync(shard, seq)
+	return logComposed(l, Effect{Remove: true, Shard: shard, Key: key})
 }
 
-// logComposed runs the two-phase cross-shard protocol: intent on every
-// participant, commit marker on the coordinator, all under the
-// participants' commit locks in ascending order, then Sync each.
-// shards must be sorted ascending and unique.
-func logComposed(l *Log, shards []int, effects []Effect) error {
+// logComposed runs the commit protocol for one mutation of any shape:
+// every touched shard's commit lock in ascending order, one record,
+// unlock, Sync.
+func logComposed(l *Log, effects ...Effect) error {
+	shards := touched(effects)
 	for _, sh := range shards {
 		l.Lock(sh)
 	}
-	txid := l.NextTxID()
-	seqs := make([]uint64, len(shards))
-	for i, sh := range shards {
-		seqs[i] = l.AppendIntent(sh, txid, effects)
-	}
-	seqs[0] = l.AppendCommit(shards[0], txid)
+	seq := l.Append(effects)
 	for i := len(shards) - 1; i >= 0; i-- {
 		l.Unlock(shards[i])
 	}
-	for i, sh := range shards {
-		if err := l.Sync(sh, seqs[i]); err != nil {
-			return err
-		}
+	return l.Sync(0, seq)
+}
+
+// touched returns the sorted unique shards of effects.
+func touched(effects []Effect) []int {
+	var shards []int
+	for _, e := range effects {
+		shards = append(shards, e.Shard)
 	}
-	return nil
+	slices.Sort(shards)
+	return slices.Compact(shards)
 }
 
 // TestGroupCommitConcurrent is the core property: 8 committers hammer a
@@ -137,7 +144,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 					}
 					l.Lock(sh)
 					delete(model[sh], key)
-					seq = l.AppendRemove(sh, key)
+					seq = l.Append([]Effect{{Remove: true, Shard: sh, Key: key}})
 					l.Unlock(sh)
 					if err := l.Sync(sh, seq); err != nil {
 						errs[w] = err
@@ -146,37 +153,23 @@ func TestGroupCommitConcurrent(t *testing.T) {
 				case 3: // cross-shard composition: two puts, distinct shards
 					key2 := key + 1 // adjacent keys land on adjacent shards
 					sh2 := shardOf(key2)
-					a, b := sh, sh2
-					if a > b {
-						a, b = b, a
-					}
 					effects := []Effect{
 						{Shard: sh, Key: key, Val: 10},
 						{Shard: sh2, Key: key2, Val: 20},
 					}
-					parts := []int{a}
-					if b != a {
-						parts = append(parts, b)
-					}
+					parts := touched(effects)
 					for _, p := range parts {
 						l.Lock(p)
 					}
 					model[sh][key] = 10
 					model[sh2][key2] = 20
-					txid := l.NextTxID()
-					seqs := make([]uint64, len(parts))
-					for pi, p := range parts {
-						seqs[pi] = l.AppendIntent(p, txid, effects)
-					}
-					seqs[0] = l.AppendCommit(parts[0], txid)
+					seq := l.Append(effects)
 					for pi := len(parts) - 1; pi >= 0; pi-- {
 						l.Unlock(parts[pi])
 					}
-					for pi, p := range parts {
-						if err := l.Sync(p, seqs[pi]); err != nil {
-							errs[w] = err
-							return
-						}
+					if err := l.Sync(0, seq); err != nil {
+						errs[w] = err
+						return
 					}
 				}
 			}
@@ -196,19 +189,14 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
-	// No reorder, no torn tail: every shard's file parses whole, with
-	// strictly increasing sequences (Scan cuts on any violation).
-	for i := range rp.Shards {
-		sh := &rp.Shards[i]
-		if sh.Torn != nil {
-			t.Fatalf("shard %d torn after clean close: %v", i, sh.Torn)
-		}
-		if sh.Keep != len(sh.Records) {
-			t.Fatalf("shard %d rolled back %d records after clean run", i, len(sh.Records)-sh.Keep)
-		}
+	// No reorder, no torn tail: the file parses whole, with strictly
+	// increasing sequences (Scan cuts on any violation), one record per
+	// acknowledged operation.
+	if rp.Torn != nil {
+		t.Fatalf("torn after clean close: %v", rp.Torn)
 	}
-	if len(rp.Aborted) != 0 {
-		t.Fatalf("clean run aborted compositions: %v", rp.Aborted)
+	if n, want := uint64(len(rp.Records)), l.Stats().Appends; n != want {
+		t.Fatalf("scanned %d records, appended %d", n, want)
 	}
 
 	want := map[int64]int64{}
@@ -230,10 +218,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 
 // logAdd runs the full single-shard commit protocol for one delta.
 func logAdd(l *Log, shard int, key, delta int64) error {
-	l.Lock(shard)
-	seq := l.AppendAdd(shard, key, delta)
-	l.Unlock(shard)
-	return l.Sync(shard, seq)
+	return logComposed(l, Effect{Delta: true, Shard: shard, Key: key, Val: delta})
 }
 
 // TestAddRecordsReplay pins the delta record's replay semantics: adds
@@ -255,10 +240,10 @@ func TestAddRecordsReplay(t *testing.T) {
 	check(logAdd(l, 1, 2, 7))   //
 	check(logRemove(l, 1, 2))   // remove clears the counter
 	check(logAdd(l, 1, 2, 3))   // and a later add restarts from zero
-	check(logComposed(l, []int{0, 1}, []Effect{
-		{Delta: true, Shard: 0, Key: 1, Val: 10},
-		{Delta: true, Shard: 1, Key: 2, Val: -2},
-	}))
+	check(logComposed(l,
+		Effect{Delta: true, Shard: 0, Key: 1, Val: 10},
+		Effect{Delta: true, Shard: 1, Key: 2, Val: -2},
+	))
 	check(l.Close())
 
 	rp, err := Scan(dir)
@@ -276,7 +261,7 @@ func TestAddRecordsReplay(t *testing.T) {
 }
 
 // TestDeterministicBytes pins physical determinism: the same
-// single-threaded operation sequence writes byte-identical shard files
+// single-threaded operation sequence writes a byte-identical log file
 // (group commit must not inject batching artifacts into the encoding).
 func TestDeterministicBytes(t *testing.T) {
 	const shards = 4
@@ -294,10 +279,10 @@ func TestDeterministicBytes(t *testing.T) {
 				}
 			}
 			if i%7 == 0 {
-				err := logComposed(l, []int{0, 1}, []Effect{
-					{Shard: 0, Key: 10_000 + key, Val: key},
-					{Shard: 1, Key: 20_001 + key, Val: key},
-				})
+				err := logComposed(l,
+					Effect{Shard: 0, Key: 10_000 + key, Val: key},
+					Effect{Shard: 1, Key: 20_001 + key, Val: key},
+				)
 				if err != nil {
 					t.Fatalf("composed: %v", err)
 				}
@@ -310,25 +295,22 @@ func TestDeterministicBytes(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	run(dirA)
 	run(dirB)
-	for i := 0; i < shards; i++ {
-		a, err := os.ReadFile(filepath.Join(dirA, shardFileName(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirB, shardFileName(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("shard %d files differ between identical runs (%d vs %d bytes)", i, len(a), len(b))
-		}
+	a, err := os.ReadFile(filepath.Join(dirA, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dirB, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("log files differ between identical runs (%d vs %d bytes)", len(a), len(b))
 	}
 }
 
 // TestReopenContinues pins the append-resume contract: reopening a
-// directory recovers its contents, continues the per-shard sequences
-// and composition ids past everything recovered, and the final log
-// replays both generations.
+// directory recovers its contents, continues the sequence past
+// everything recovered, and the final log replays both generations.
 func TestReopenContinues(t *testing.T) {
 	const shards = 2
 	dir := t.TempDir()
@@ -341,9 +323,7 @@ func TestReopenContinues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := logComposed(l, []int{0, 1}, []Effect{
-		{Shard: 0, Key: 100, Val: 1}, {Shard: 1, Key: 101, Val: 2},
-	}); err != nil {
+	if err := logComposed(l, Effect{Shard: 0, Key: 100, Val: 1}, Effect{Shard: 1, Key: 101, Val: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -355,10 +335,10 @@ func TestReopenContinues(t *testing.T) {
 	if len(got) != 52 {
 		t.Fatalf("reopen replayed %d keys, want 52", len(got))
 	}
-	// New appends must continue, not collide: a second composition's id
-	// must exceed the first's, sequences must keep increasing.
-	if id := l2.NextTxID(); id < 2 {
-		t.Fatalf("txid restarted at %d after a logged composition", id)
+	// New appends must continue, not collide: the sequence resumes past
+	// the 51 records recovered.
+	if seq := l2.Seq(); seq != 51 {
+		t.Fatalf("sequence resumed at %d, want 51", seq)
 	}
 	for i := int64(50); i < 60; i++ {
 		if err := logPut(l2, int(i%shards), i, i); err != nil {
@@ -372,18 +352,8 @@ func TestReopenContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rp3.Shards {
-		sh := &rp3.Shards[i]
-		if sh.Torn != nil || sh.Keep != len(sh.Records) {
-			t.Fatalf("shard %d not clean after reopen-append: torn=%v keep=%d/%d", i, sh.Torn, sh.Keep, len(sh.Records))
-		}
-		prev := uint64(0)
-		for _, r := range sh.Records {
-			if r.Seq <= prev {
-				t.Fatalf("shard %d sequence regressed: %d after %d", i, r.Seq, prev)
-			}
-			prev = r.Seq
-		}
+	if rp3.Torn != nil || len(rp3.Records) != 61 {
+		t.Fatalf("not clean after reopen-append: torn=%v, %d records, want 61", rp3.Torn, len(rp3.Records))
 	}
 	if got := applied(rp3); len(got) != 62 {
 		t.Fatalf("final replay has %d keys, want 62", len(got))
@@ -442,7 +412,7 @@ func TestStatsNotCountedOnError(t *testing.T) {
 
 	// Kill the file descriptor under the log: the next flush's Write
 	// fails, and the error goes sticky.
-	if err := l.shards[0].f.Close(); err != nil {
+	if err := l.f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := logPut(l, 0, 2, 2); err == nil {
@@ -458,7 +428,7 @@ func TestStatsNotCountedOnError(t *testing.T) {
 	if after.Appends != before.Appends+1 {
 		t.Fatalf("Appends = %d, want %d (the record was buffered)", after.Appends, before.Appends+1)
 	}
-	if err := l.Sync(0, l.shards[0].seq); err == nil {
+	if err := l.Sync(0, l.Seq()); err == nil {
 		t.Fatal("sticky error cleared itself")
 	}
 }

@@ -20,8 +20,9 @@ import (
 // block, then three count-prefixed blocks — abort causes, StatsTable's
 // scalars in table order, ShardTable rows per shard, last — so a new
 // counter is one more scalar, and a peer built without it fails the
-// count check loudly.
-const statsVersion = 6
+// count check loudly; 7 = the shard_wal_bytes row dropped from
+// ShardTable (the log is one file, not one per shard).
+const statsVersion = 7
 
 // maxShardStats bounds the per-shard block a decoder will allocate for —
 // far above any real shard count, low enough that a hostile length
@@ -116,12 +117,10 @@ func (p *StatsPayload) AddSTM(s stm.Stats) {
 // a composed operation's aborts land on its first key's shard, so the
 // per-shard sum matches the merged abort counter's growth. HotKeys is a
 // gauge: counters currently promoted to the commutative hot-key path.
-// WALBytes is the shard's slice of the wal_bytes aggregate.
 type ShardTelemetry struct {
-	Ops      uint64
-	Aborts   uint64
-	HotKeys  uint64
-	WALBytes uint64
+	Ops     uint64
+	Aborts  uint64
+	HotKeys uint64
 }
 
 // StatKind says how one telemetry scalar behaves over time, which is
@@ -207,8 +206,23 @@ var ShardTable = []Stat[ShardTelemetry]{
 	{Name: "shard_ops", Help: "Key-operations routed to the shard.", Field: func(s *ShardTelemetry) *uint64 { return &s.Ops }},
 	{Name: "shard_aborts", Help: "Aborted attempts attributed to the shard.", Field: func(s *ShardTelemetry) *uint64 { return &s.Aborts }},
 	{Name: "shard_hot_keys", Help: "Counters currently promoted to the boosted path, by shard.", Kind: StatGauge, Field: func(s *ShardTelemetry) *uint64 { return &s.HotKeys }},
-	{Name: "shard_wal_bytes", Help: "Bytes the OS accepted into the shard's WAL file.", Field: func(s *ShardTelemetry) *uint64 { return &s.WALBytes }},
 }
+
+// textPad and its call below hold this package's machine code at its
+// former size modulo 64 bytes, and do nothing else. Go starts functions
+// on 32-byte boundaries and cannot be asked for more, so a package's
+// code size fixes the 64-byte alignment of every function linked after
+// it. In the benchmark binary that includes the core and eec read
+// loops, and with them starting at 32 mod 64 the in-process lib-compose
+// workload ran 8 % slower and set up 30 % slower. Dropping the
+// shard_wal_bytes row removed one closure and flipped that alignment;
+// these restore it. Remove them once the build aligns hot code itself
+// (profile-guided optimisation aligns hot loop blocks).
+//
+//go:noinline
+func textPad(x int) int { return x + 1 }
+
+var _ = textPad(1)
 
 // numFields counts a table's wire-carried rows (those with storage).
 func numFields[T any](table []Stat[T]) (n uint64) {

@@ -337,7 +337,7 @@ func TestStatsPayloadSubAdd(t *testing.T) {
 	s1.AbortsByCause[2] += 5
 	s1.Ops[1].Count += 7
 	s1.Ops[1].Hist.Record(3 * time.Millisecond)
-	s1.ShardStats[4] = ShardTelemetry{Ops: s0.ShardStats[4].Ops + 11, Aborts: s0.ShardStats[4].Aborts, HotKeys: 2, WALBytes: s0.ShardStats[4].WALBytes + 13}
+	s1.ShardStats[4] = ShardTelemetry{Ops: s0.ShardStats[4].Ops + 11, Aborts: s0.ShardStats[4].Aborts, HotKeys: 2}
 	s1.ShardStats[5].Ops = 0 // a peer that went backwards clamps, not wraps
 
 	keep := s1
@@ -361,7 +361,7 @@ func TestStatsPayloadSubAdd(t *testing.T) {
 	if d.Ops[1].Count != 7 || d.Ops[1].Hist.Count() != 1 || d.Ops[2].Count != 0 || d.Ops[2].Hist.Count() != 0 {
 		t.Errorf("op deltas: count %d, hist %d", d.Ops[1].Count, d.Ops[1].Hist.Count())
 	}
-	if got, want := d.ShardStats[4], (ShardTelemetry{Ops: 11, HotKeys: 2, WALBytes: 13}); got != want {
+	if got, want := d.ShardStats[4], (ShardTelemetry{Ops: 11, HotKeys: 2}); got != want {
 		t.Errorf("shard 4 delta = %+v, want %+v (hot_keys is a gauge: later reading kept)", got, want)
 	}
 	if d.ShardStats[5].Ops != 0 {
@@ -393,7 +393,7 @@ func TestStatsPayloadSubAdd(t *testing.T) {
 // bytes instead of misparsing the block as trailing garbage.
 func TestStatsPayloadShardBlockTrailing(t *testing.T) {
 	p := StatsPayload{Engine: "oestm", CM: "adaptive", Shards: 2,
-		ShardStats: []ShardTelemetry{{Ops: 7, Aborts: 1, HotKeys: 2, WALBytes: 99}, {Ops: 3}}}
+		ShardStats: []ShardTelemetry{{Ops: 7, Aborts: 1, HotKeys: 2}, {Ops: 3}}}
 	body := AppendStats(nil, &p)
 
 	q := p
