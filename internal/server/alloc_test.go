@@ -12,6 +12,7 @@ import (
 
 	"oestm/internal/core"
 	"oestm/internal/stm"
+	"oestm/internal/wire"
 )
 
 // allocCase is one pinned round trip: op must allocate exactly want
@@ -48,6 +49,17 @@ func pinAllocs(t *testing.T, mode string, cases []allocCase) {
 // wide and negative values expose the second.
 func requestCases(c *Client, keys []int64) []allocCase {
 	wide := []int64{1 << 40, -5, -1 << 40, 7}
+	// An 8-request burst of overwrites and reads over the preloaded keys:
+	// one server turn, so with a WAL one group commit covers its puts.
+	burst := make([]wire.Request, 8)
+	for i := range burst {
+		k := keys[i%len(keys)]
+		burst[i] = wire.Request{Op: wire.OpPut, Key: k, Val: int64(i) << 40}
+		if i%2 == 1 {
+			burst[i] = wire.Request{Op: wire.OpGet, Key: k}
+		}
+	}
+	resps := make([]wire.Response, len(burst))
 	return []allocCase{
 		{"ping", 0, func() error { return c.Ping() }},
 		{"get-hit", 0, func() error { _, _, err := c.Get(1); return err }},
@@ -60,6 +72,7 @@ func requestCases(c *Client, keys []int64) []allocCase {
 		{"mget", 0, func() error { _, _, err := c.MGet(keys); return err }},
 		{"mput-overwrite", 0, func() error { return c.MPut(keys, []int64{10, 20, 30, 40}) }},
 		{"mput-overwrite-wide", 0, func() error { return c.MPut(keys, wide) }},
+		{"pipeline-8", 0, func() error { return c.Pipeline(burst, resps) }},
 	}
 }
 

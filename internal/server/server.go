@@ -329,8 +329,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			// Handlers may still be live; closing the log (or the batch
 			// executor) under them would turn in-flight work into
 			// spurious errors, so both are left to the process exit
-			// (the log's contents are already written by each
-			// acknowledged request's Sync).
+			// (every acknowledged request's record was already written
+			// by its turn's WALErr).
 		}
 		return ctx.Err()
 	}
@@ -353,18 +353,24 @@ type opStats struct {
 }
 
 // connStats is the telemetry one connection publishes. Guarded by mu; the
-// handler publishes after each request, the stats endpoint reads from any
+// handler publishes after each turn, the stats endpoint reads from any
 // connection's goroutine.
 type connStats struct {
 	mu sync.Mutex
 	opStats
 }
 
-// publish records one handled request and refreshes the thread snapshot.
-func (cs *connStats) publish(op wire.Op, d time.Duration, th *stm.Thread) {
+// publish records one turn's decoded requests, each at the turn's
+// latency, and refreshes the thread snapshot: one lock and one copy of
+// the thread's counters per turn, whatever the burst's length.
+func (cs *connStats) publish(reqs []*request, d time.Duration, th *stm.Thread) {
 	cs.mu.Lock()
-	cs.ops[op].Count++
-	cs.ops[op].Hist.Record(d)
+	for _, t := range reqs {
+		if t.decoded {
+			cs.ops[t.req.Op].Count++
+			cs.ops[t.req.Op].Hist.Record(d)
+		}
+	}
 	cs.stm = th.Stats
 	cs.mu.Unlock()
 }
@@ -461,6 +467,12 @@ type request struct {
 	// runs marks requests that execute against the store; Stats, Ping
 	// and pre-resolved errors are answered at encode time.
 	runs bool
+	// aborts is what the request's own transactions aborted (conn mode;
+	// zero in batch mode, whose aborts happen on applier threads), and
+	// cause the dominant conflict cause among them — sampled into the
+	// flight recorder once the turn's responses are sent.
+	aborts uint64
+	cause  stm.ConflictCause
 }
 
 // mutating marks the opcodes that change the store: the ones a sticky
@@ -497,7 +509,7 @@ func (t *request) decode(body []byte) {
 	r := &t.resp
 	*r = wire.Response{Present: r.Present[:0], Vals: r.Vals[:0], Stats: r.Stats[:0], Status: wire.StatusOK}
 	err := t.req.Decode(body)
-	t.decoded, t.runs = err == nil, false
+	t.decoded, t.runs, t.aborts = err == nil, false, 0
 	switch {
 	case err != nil:
 		pe, _ := wire.IsProtocolError(err)
@@ -515,7 +527,6 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
-	bw  *bufio.Writer
 
 	th *stm.Thread
 	fr *store.Frame
@@ -523,8 +534,8 @@ type conn struct {
 	in  []byte // frame-read buffer
 	out []byte // response-encode buffer
 
-	// reqs is the request pool: conn mode serves reqs[0] over and over,
-	// batch mode fills one entry per request of the current burst.
+	// reqs is the request pool: one entry per request of the current
+	// burst, in arrival order.
 	reqs []*request
 
 	// Batch-mode state (srv.batch != nil): the submission scratch and the
@@ -538,7 +549,7 @@ type conn struct {
 
 	// Flight-recorder state (conn mode): the connection's write handle
 	// and its last-seen per-cause abort counters, diffed to name the
-	// dominant cause of each abort-suffering request.
+	// dominant cause of each abort-suffering request (dominantCause).
 	ring   *obs.Ring
 	causes [stm.NumCauses]uint64
 }
@@ -552,7 +563,6 @@ func newConn(s *Server, nc net.Conn) *conn {
 		srv: s,
 		nc:  nc,
 		br:  bufio.NewReaderSize(nc, 32<<10),
-		bw:  bufio.NewWriterSize(nc, 32<<10),
 		th:  th,
 		fr:  s.st.NewFrame(th),
 	}
@@ -606,21 +616,12 @@ func (c *conn) finishFrame(mark int) bool {
 	return true
 }
 
-// send writes c.out and flushes once per pipelined burst: only when no
-// complete frame is already buffered. Completeness matters — a buffered
-// header (or partial body) whose peer is waiting for this response
-// before sending the rest must not suppress the flush, or both sides
-// deadlock.
-func (c *conn) send() bool {
-	if _, err := c.bw.Write(c.out); err != nil {
-		return false
-	}
-	return c.nextFrameBuffered() || c.bw.Flush() == nil
-}
-
 // nextFrameBuffered reports whether a complete request frame is already
 // in the read buffer (header and full announced body), i.e. the next
-// ReadFrame cannot block on the socket.
+// ReadFrame cannot block on the socket. Completeness matters: a buffered
+// header (or partial body) whose peer is waiting for this turn's
+// responses before sending the rest must end the turn, or both sides
+// deadlock.
 func (c *conn) nextFrameBuffered() bool {
 	if c.br.Buffered() < wire.HeaderSize {
 		return false
@@ -633,57 +634,62 @@ func (c *conn) nextFrameBuffered() bool {
 	return c.br.Buffered() >= wire.HeaderSize+n
 }
 
-// handle is the connection's request loop, shared by both execution
-// models. Conn mode takes one request per turn and executes it inline on
-// the connection's own frame. Batch mode takes a whole pipelined burst
-// (one blocking frame, then every complete frame already buffered),
-// submits it to the executor as one unit and parks until it committed —
-// the burst boundary is what turns client pipelining into server
-// parallelism; a pipeline depth of one degenerates to solo batches.
-// Either way the turn's responses leave in arrival order.
+// handle is the connection's request loop, one turn shape for both
+// execution models. A turn collects a burst — one blocking frame, then
+// every complete frame already buffered — and executes it: conn mode runs
+// conn.exec over it in order on the connection's own frame, batch mode
+// submits it to the executor as one unit and parks until it committed
+// (the burst boundary is what turns client pipelining into server
+// parallelism; a pipeline depth of one degenerates to solo batches). The
+// turn then waits once for its mutations to be durable (Frame.WALErr),
+// encodes every response in arrival order and writes them with one
+// write(2). A turn ends only when no complete frame is buffered, so a
+// pipelined burst costs one group commit and one response write.
 //
 // Shutdown's read deadline interrupts the next blocking read, never a
 // turn in flight: already-buffered pipelined requests still drain (bufio
 // serves them without touching the socket), and the executor always
-// completes submitted batches.
+// completes submitted batches. A conn-mode request that Shutdown
+// cancelled ends the burst: it and the requests before it are answered,
+// the ones after it never start, and the connection closes.
 func (c *conn) handle() {
 	defer func() {
-		c.bw.Flush()
 		c.nc.Close()
 		c.srv.retire(c)
 	}()
-	batch := c.srv.batch
 	for {
 		body, pe, ok := c.readFrame()
 		start := time.Now()
-		ab0 := c.th.Stats.Aborts
 		n := 0
 		for ok {
-			t := c.slot(n)
+			c.slot(n).decode(body)
 			n++
-			t.decode(body)
-			if batch == nil {
-				if t.runs {
-					ok = c.exec(t)
-				}
-				break
-			}
 			if !c.nextFrameBuffered() {
 				break
 			}
 			// The frame is complete in the buffer, so only an oversized
 			// announcement can fail here: the burst collected so far is
-			// still answered, then the typed error, then close.
+			// still run and answered, then the typed error, then close.
 			body, pe, ok = c.readFrame()
 		}
-		// A WAL I/O error is sticky (the log refuses everything after its
-		// first failure), so reading it after the turn's commits covers
-		// every mutation of the turn.
-		werr := c.fr.WALErr()
-		if batch != nil {
-			c.runBurst(n)
-			werr = batch.applier.WALErr()
+		if n == 0 && pe == nil {
+			return // clean close, drain-deadline interrupt or connection error
 		}
+		if c.srv.batch != nil {
+			c.runBurst(n)
+		} else {
+			for i, t := range c.reqs[:n] {
+				if t.runs && !c.exec(t) {
+					n, pe, ok = i+1, nil, false
+					break
+				}
+			}
+		}
+		// The turn's durability point, before any response is encoded: a
+		// response leaves only once its mutation's record is written. The
+		// log's I/O error is sticky, so one reading covers every mutation
+		// of the turn (batch mode's included, which Finish already synced).
+		werr := c.fr.WALErr()
 		c.out = c.out[:0]
 		for _, t := range c.reqs[:n] {
 			if !c.appendFrame(t, werr) {
@@ -698,30 +704,25 @@ func (c *conn) handle() {
 			c.out = wire.AppendError(wire.BeginFrame(c.out), pe.Code, pe.Msg)
 			c.finishFrame(mark)
 		}
-		sent := c.send()
+		_, err := c.nc.Write(c.out)
 		elapsed := time.Since(start)
+		c.stats.publish(c.reqs[:n], elapsed, c.th)
 		for _, t := range c.reqs[:n] {
-			if t.decoded {
-				c.stats.publish(t.req.Op, elapsed, c.th)
+			if t.aborts != 0 {
+				c.recordAbort(t, elapsed)
 			}
 		}
-		if !sent || !ok {
+		if err != nil || !ok {
 			return
-		}
-		if aborts := c.th.Stats.Aborts - ab0; aborts != 0 {
-			c.recordAbort(&c.reqs[0].req, aborts, elapsed)
 		}
 	}
 }
 
-// recordAbort samples one abort-suffering request into the flight
-// recorder. The dominant cause is the per-cause counter that grew most
-// since this connection's last sample; the shard is where the request's
-// first key routes, matching the per-shard abort attribution. Off the
-// happy path by construction (aborts != 0, which only the connection's
-// own transactions — conn mode — can cause), and allocation-free like
-// the rest of the instrumentation.
-func (c *conn) recordAbort(q *wire.Request, aborts uint64, elapsed time.Duration) {
+// dominantCause returns the per-cause abort counter that grew most since
+// the connection's last call and advances the snapshot; exec calls it
+// right after a request that aborted, so each request names its own
+// cause.
+func (c *conn) dominantCause() stm.ConflictCause {
 	cause, best := stm.CauseUnknown, uint64(0)
 	for i := range c.th.Stats.AbortsByCause {
 		if d := c.th.Stats.AbortsByCause[i] - c.causes[i]; d > best {
@@ -729,15 +730,26 @@ func (c *conn) recordAbort(q *wire.Request, aborts uint64, elapsed time.Duration
 		}
 		c.causes[i] = c.th.Stats.AbortsByCause[i]
 	}
+	return cause
+}
+
+// recordAbort samples one abort-suffering request into the flight
+// recorder at its turn's latency. The shard is where the request's first
+// key routes, matching the per-shard abort attribution. Off the happy
+// path by construction (t.aborts != 0, which only the connection's own
+// transactions — conn mode — can cause), and allocation-free like the
+// rest of the instrumentation.
+func (c *conn) recordAbort(t *request, elapsed time.Duration) {
+	q := &t.req
 	key := q.Key
 	if len(q.Keys) > 0 {
 		key = q.Keys[0]
 	}
-	attempts := uint32(aborts)
-	if aborts > uint64(^uint32(0)) {
+	attempts := uint32(t.aborts)
+	if t.aborts > uint64(^uint32(0)) {
 		attempts = ^uint32(0)
 	}
-	c.ring.Record(q.Op, cause, c.srv.st.ShardOf(key), attempts, elapsed)
+	c.ring.Record(q.Op, t.cause, c.srv.st.ShardOf(key), attempts, elapsed)
 }
 
 // exec runs one store-bound request on the connection's own frame — the
@@ -747,6 +759,7 @@ func (c *conn) recordAbort(q *wire.Request, aborts uint64, elapsed time.Duration
 // Shutdown cancelled the thread, ErrRetryExhausted otherwise.
 func (c *conn) exec(t *request) bool {
 	q, r, fr := &t.req, &t.resp, c.fr
+	a0 := c.th.Stats.Aborts
 	switch q.Op {
 	case wire.OpGet:
 		var ok bool
@@ -773,11 +786,14 @@ func (c *conn) exec(t *request) bool {
 	case wire.OpMAdd:
 		fr.MAdd(q.Keys, q.Vals)
 	}
+	if t.aborts = c.th.Stats.Aborts - a0; t.aborts != 0 {
+		t.cause = c.dominantCause()
+	}
 	switch err := fr.Err(); {
 	case err == nil:
 	case errors.As(err, new(*stm.CancelledError)):
-		// End the connection without ClearErr, which would withdraw the
-		// cancellation before the next buffered request ran.
+		// End the burst and the connection without ClearErr, which would
+		// withdraw the cancellation before the next request ran.
 		fail(r, wire.ErrShuttingDown, q.Op.String()+" cancelled by shutdown")
 		return false
 	default:

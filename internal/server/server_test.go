@@ -246,6 +246,53 @@ func TestPipelining(t *testing.T) {
 	}
 }
 
+// TestWALSyncsPerBurst pins group commit at the turn boundary: a
+// pipelined burst of 8 mutations is one server turn, and the turn waits
+// for the log once — so the burst costs 8 records but about one flush,
+// in both execution models. (A burst split across two socket reads is two
+// turns, hence the bound of 2 flushes per burst on average.)
+func TestWALSyncsPerBurst(t *testing.T) {
+	for _, mode := range []string{ExecConn, ExecBatch} {
+		t.Run(mode, func(t *testing.T) {
+			s := startServer(t, Config{
+				Engine: "oestm", NewTM: func() stm.TM { return core.New() },
+				Shards: 8, Exec: mode, WALDir: t.TempDir(), Fsync: false,
+			})
+			c := dial(t, s)
+			const depth, bursts = 8, 100
+			reqs := make([]wire.Request, depth)
+			resps := make([]wire.Response, depth)
+			var before, after wire.StatsPayload
+			if err := c.Stats(&before); err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < bursts; b++ {
+				for i := range reqs {
+					reqs[i] = wire.Request{Op: wire.OpPut, Key: int64(i), Val: int64(b*depth + i)}
+				}
+				if err := c.Pipeline(reqs, resps); err != nil {
+					t.Fatalf("burst %d: %v", b, err)
+				}
+				for i := range resps {
+					if resps[i].Status != wire.StatusOK {
+						t.Fatalf("burst %d request %d: %+v", b, i, resps[i])
+					}
+				}
+			}
+			if err := c.Stats(&after); err != nil {
+				t.Fatal(err)
+			}
+			if appends := after.WALAppends - before.WALAppends; appends != depth*bursts {
+				t.Errorf("%d records appended over %d bursts of %d puts, want %d", appends, bursts, depth, depth*bursts)
+			}
+			if syncs := after.WALSyncs - before.WALSyncs; syncs >= 2*bursts {
+				t.Errorf("%d log flushes over %d bursts (%.2f per burst), want fewer than 2 per burst",
+					syncs, bursts, float64(syncs)/bursts)
+			}
+		})
+	}
+}
+
 // TestPartialNextFrameDoesNotStallResponse: a buffered header (or
 // partial body) of the NEXT request must not suppress the flush of the
 // current response — a peer that waits for the response before sending

@@ -71,7 +71,6 @@ type Applier struct {
 	touched []int     // ascending — the lock acquisition order
 	groups  []group
 	effects []wal.Effect // arena the groups' windows index into
-	walErr  error        // sticky first log I/O error (see WALErr)
 }
 
 // NewApplier builds an applier for workers+1 worker slots (slot
@@ -106,12 +105,6 @@ func (a *Applier) Base(w int) *BaseReader { return &a.bases[w] }
 // merges (read them only between batches — e.g. from the executor's
 // AfterBatch hook).
 func (a *Applier) Threads() []*stm.Thread { return a.threads }
-
-// WALErr returns the applier's sticky first log I/O error (nil while
-// every acknowledged batch reached the log). Read it after a batch's
-// Finish — the executor's Done callbacks run after Finish, so response
-// routing sees it in time.
-func (a *Applier) WALErr() error { return a.walErr }
 
 // Begin resets the staging state for a batch.
 func (a *Applier) Begin(int) {
@@ -206,8 +199,9 @@ func (r *applyRun) applyBody() {
 
 // Finish appends one record per group, in batch order, before it
 // releases the commit locks, then group-commits the log through the last
-// one. It runs on the dispatcher, so the sticky error is visible to the
-// Done callbacks that follow it.
+// one. It runs on the dispatcher before the Done callbacks, so a batch is
+// durable before its connections wake. An I/O error stays sticky in the
+// log, where each connection's turn reads it (Frame.WALErr).
 func (a *Applier) Finish() {
 	var seq uint64
 	if w := a.st.wal; w != nil {
@@ -216,5 +210,7 @@ func (a *Applier) Finish() {
 		}
 	}
 	a.st.unlockShards(a.touched)
-	a.st.sync(seq, &a.walErr)
+	if seq != 0 {
+		_ = a.st.wal.Sync(0, seq)
+	}
 }

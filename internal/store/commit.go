@@ -15,7 +15,12 @@ import (
 //	resolve hot counters → (any involved: acquire their abstract locks in
 //	one boosted transaction) → commit locks ascending, promotions
 //	re-checked under them → body → effects to one record → unlock
-//	descending → group-commit wait
+//	descending
+//
+// The group-commit wait is not a step of the walk: it belongs to the
+// caller's durability point (Frame.WALErr, once per server turn; the end
+// of Applier.Finish for a batch), so one log write covers every mutation
+// a turn committed.
 //
 // ARCHITECTURE.md ("Commit pipeline") tabulates, per opcode, the
 // linearization step, the locks held at it and the record shape. The
@@ -84,22 +89,6 @@ func (s *Store) apply(th *stm.Thread, ef *wal.Effect) (old int64, ok bool) {
 		return old, ok
 	}
 	return m.Put(th, int(ef.Key), ef.Val)
-}
-
-// sync group-commits the log through seq (0 = nothing appended), after
-// the commit locks are released (a flush under them would stall their
-// shards behind the I/O), and records the first I/O error in *sticky:
-// once set, acknowledged mutations may not be durable and the server
-// answers with a typed durability error instead of success.
-//
-//compose:noalloc
-func (s *Store) sync(seq uint64, sticky *error) {
-	if seq == 0 {
-		return
-	}
-	if err := s.wal.Sync(0, seq); err != nil && *sticky == nil {
-		*sticky = err
-	}
 }
 
 // opClass is how an operation relates to promoted counters (see hot.go).
@@ -198,15 +187,16 @@ func (f *Frame) promoted() bool {
 	return false
 }
 
-// commit pushes the staged mutation through the pipeline and waits for
-// its record to be durable. If it gives up (see Err), the mutation did
-// not happen: at most, hot counters were folded back into their bases,
-// which changes no key's value.
+// commit pushes the staged mutation through the pipeline. Its record is
+// appended, not yet durable: f.wSeq keeps the frame's highest appended
+// sequence, and WALErr waits for it. If the walk gives up (see Err), the
+// mutation did not happen: at most, hot counters were folded back into
+// their bases, which changes no key's value.
 //
 //compose:noalloc
 func (f *Frame) commit() {
 	s := f.st
-	f.wShards, f.wSeq = f.wShards[:0], 0
+	f.wShards = f.wShards[:0]
 	if s.wal != nil {
 		for _, k := range f.keys {
 			f.wShards = insertShard(f.wShards, s.ShardOf(k))
@@ -236,7 +226,6 @@ func (f *Frame) commit() {
 	if f.fused && f.class == classDelta {
 		s.boostedOps.Add(uint64(len(f.keys)))
 	}
-	s.sync(f.wSeq, &f.walErr)
 }
 
 // fusedBody is commit's boosted transaction: every abstract lock is held

@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"syscall"
 	"time"
 
 	"oestm/internal/harness"
@@ -49,6 +50,7 @@ const (
 	envSnapMS  = "CRASHTEST_SNAP_MS"
 	envExec    = "CRASHTEST_EXEC"
 	envBoost   = "CRASHTEST_BOOST"
+	envFSize   = "CRASHTEST_FSIZE"
 )
 
 // addrPrefix is the line the child prints once it is serving; the
@@ -94,6 +96,23 @@ func ChildMain() bool {
 	boost := store.BoostOff
 	if b := os.Getenv(envBoost); b != "" {
 		boost, err = store.ParseBoostMode(b)
+		if err != nil {
+			fail(err)
+		}
+	}
+	if n := os.Getenv(envFSize); n != "" {
+		// A file-size limit the log outgrows makes its flushes fail with
+		// EFBIG (the Go runtime ignores the SIGXFSZ that comes with it):
+		// a failing log without a hook in the server.
+		var rl syscall.Rlimit
+		lim, err := strconv.ParseUint(n, 10, 64)
+		if err == nil {
+			err = syscall.Getrlimit(syscall.RLIMIT_FSIZE, &rl)
+		}
+		if err == nil {
+			rl.Cur = lim
+			err = syscall.Setrlimit(syscall.RLIMIT_FSIZE, &rl)
+		}
 		if err != nil {
 			fail(err)
 		}

@@ -626,12 +626,21 @@ func TestCrashRecoveryPairSums(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryLastWrite: one connection issues strictly sequential
-// puts; after the kill, every key must hold exactly its last
-// acknowledged value — or the one write that was in flight when the
-// crash hit (logged but unacknowledged is allowed; acknowledged but
-// lost, or reordered, is not).
+// TestCrashRecoveryLastWrite: one connection issues puts, strictly
+// sequential or in pipelined bursts of 8 distinct keys; after the kill,
+// every key must hold exactly its last acknowledged value — or, for a key
+// of the one request or burst in flight when the crash hit, its new value
+// (logged but unacknowledged is allowed; acknowledged but lost, or
+// reordered, is not). The pipelined case pins that a turn's single group
+// commit still precedes every acknowledgement of its burst.
 func TestCrashRecoveryLastWrite(t *testing.T) {
+	t.Run("unpipelined", func(t *testing.T) { lastWriteCrash(t, 1) })
+	t.Run("pipelined", func(t *testing.T) { lastWriteCrash(t, 8) })
+}
+
+// lastWriteCrash runs TestCrashRecoveryLastWrite's scenario with bursts
+// of depth puts (depth 1 = one request per round trip).
+func lastWriteCrash(t *testing.T, depth int) {
 	const (
 		nkeys     = 16
 		killAfter = 500
@@ -639,8 +648,10 @@ func TestCrashRecoveryLastWrite(t *testing.T) {
 	dir := t.TempDir()
 	ch := spawn(t, "oestm", 8, false, dir)
 
+	// Owned by the writer goroutine until wg.Wait: the last acknowledged
+	// value per key, and the in-flight burst's values (0 = not in it).
 	lastAcked := make([]int64, nkeys)
-	var pendingKey, pendingVal int64 = -1, 0
+	inFlight := make([]int64, nkeys)
 	var acked atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -648,16 +659,22 @@ func TestCrashRecoveryLastWrite(t *testing.T) {
 		defer wg.Done()
 		cl := dialChild(t, ch)
 		defer cl.Close()
+		reqs := make([]wire.Request, depth)
+		resps := make([]wire.Response, depth)
 		v := int64(0)
 		for {
-			v++
-			k := v % nkeys
-			pendingKey, pendingVal = k, v // owned by this goroutine until wg.Wait
-			if _, err := cl.Put(k, v); err != nil {
-				return // the kill: (k, v) stays the in-flight write
+			for i := range reqs {
+				v++
+				reqs[i] = wire.Request{Op: wire.OpPut, Key: v % nkeys, Val: v}
+				inFlight[v%nkeys] = v
 			}
-			lastAcked[k] = v
-			acked.Add(1)
+			if err := cl.Pipeline(reqs, resps); err != nil {
+				return // the kill: the burst stays in flight
+			}
+			for _, r := range reqs {
+				lastAcked[r.Key], inFlight[r.Key] = r.Val, 0
+			}
+			acked.Add(int64(depth))
 		}
 	}()
 	deadline := time.Now().Add(30 * time.Second)
@@ -678,17 +695,13 @@ func TestCrashRecoveryLastWrite(t *testing.T) {
 	}
 	for k := int64(0); k < nkeys; k++ {
 		got, ok := f.Get(k)
-		if !ok {
-			if lastAcked[k] == 0 {
-				continue // never written (v starts at 1, key 0 lags one lap)
-			}
-			t.Errorf("key %d missing after recovery; last acknowledged value %d", k, lastAcked[k])
-			continue
+		switch {
+		case ok && got != 0 && (got == lastAcked[k] || got == inFlight[k]):
+		case !ok && lastAcked[k] == 0:
+			// never acknowledged (v starts at 1, key 0 lags one lap)
+		default:
+			t.Errorf("key %d = %d (present %v) after recovery, want last acknowledged %d or in-flight %d",
+				k, got, ok, lastAcked[k], inFlight[k])
 		}
-		if got == lastAcked[k] || (k == pendingKey && got == pendingVal) {
-			continue
-		}
-		t.Errorf("key %d = %d after recovery, want last acknowledged %d (in flight: key %d = %d)",
-			k, got, lastAcked[k], pendingKey, pendingVal)
 	}
 }

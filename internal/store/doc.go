@@ -37,7 +37,9 @@
 // by the batch Applier — walks one commit pipeline (commit.go): resolve
 // hot counters, take their abstract locks, take the shards' commit locks
 // in ascending order, run the body, append the effect list to the one
-// write-ahead log as one record, unlock, wait for group commit. Because a
+// write-ahead log as one record, unlock. The group-commit wait comes at
+// the caller's durability point (Frame.WALErr; the end of a batch's
+// Finish), so one log write covers a server turn's mutations. Because a
 // composed mutation is one record whichever shards it spans, a restart
 // replays the log's longest valid prefix and the recovered keyspace is
 // the state after some prefix of the commits — never half a composition.

@@ -60,15 +60,12 @@ type Frame struct {
 	readFn, applyFn, camFn, foldFn func(stm.Tx) error
 	fusedFn, fusedReadFn           func(*boost.Tx) error
 
-	// WAL state of the mutation in flight: its sorted unique participant
-	// shards (scratch reused across operations, so the logging path stays
-	// allocation-free once grown) and its record's sequence, the sync
-	// target.
+	// WAL state: the sorted unique participant shards of the mutation in
+	// flight (scratch reused across operations, so the logging path stays
+	// allocation-free once grown) and the highest sequence this frame has
+	// appended, WALErr's group-commit target.
 	wShards []int
 	wSeq    uint64
-	// walErr is the sticky first log I/O error observed by this frame
-	// (see WALErr).
-	walErr error
 	// err is the sticky give-up of a pipeline walk (see Err).
 	err error
 }
@@ -146,12 +143,23 @@ func (f *Frame) noteComposed(keys []int64, a0 uint64) {
 	}
 }
 
-// WALErr returns the frame's sticky first log I/O error (nil while
-// every acknowledged mutation reached the log). Once set, the store's
-// durability is broken — the log refuses all further appends with the
-// same error — and the server answers mutations with a typed
-// durability error instead of success.
-func (f *Frame) WALErr() error { return f.walErr }
+// WALErr is the frame's durability point: it group-commits the log
+// through every record the frame has appended and returns the log's
+// sticky first I/O error (nil without a log). A frame's mutations are
+// durable once WALErr returns nil; the server calls it once per turn,
+// before any response leaves. Until some frame's WALErr (or the log's
+// Close) flushes them, appended records wait in the log's buffer. Once the log has failed, every call
+// reports that error — whichever frame appended — and the server answers
+// mutations with a typed durability error instead of success, while the
+// in-memory state keeps serving reads.
+//
+//compose:noalloc
+func (f *Frame) WALErr() error {
+	if f.st.wal == nil {
+		return nil
+	}
+	return f.st.wal.Sync(0, f.wSeq)
+}
 
 // Get returns the value under key and whether it is present: one
 // single-shard elastic transaction for a plain key; base + overlay at
@@ -261,8 +269,8 @@ func (f *Frame) readBody(tx stm.Tx) {
 }
 
 // Put stores val under key, reporting whether the key already existed —
-// one single-shard elastic transaction, logged as one put record and
-// durable on return when the store has a WAL.
+// one single-shard elastic transaction, logged as one put record (durable
+// once WALErr returns nil, when the store has a WAL).
 func (f *Frame) Put(key, val int64) bool {
 	f.elementary(key, val, false)
 	return f.hit

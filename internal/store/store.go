@@ -29,9 +29,9 @@ type Config struct {
 	// checker-validation baseline; see the package comment).
 	Unsound bool
 	// WAL, when non-nil, makes every committed mutation durable: frames
-	// append to the shard's log under its commit lock and acknowledge
-	// only after group commit (see internal/wal). The log's shard count
-	// must equal the store's.
+	// append one record under the shards' commit locks, and a frame's
+	// mutations are durable once its WALErr returns nil (group commit,
+	// see internal/wal). The log's shard count must equal the store's.
 	WAL *wal.Log
 	// Boost selects the commutative hot-key path's mode for Add/MAdd
 	// (see BoostMode; the zero value is BoostOff). Unsound mode forces
