@@ -40,7 +40,7 @@ func main() {
 		theta    = flag.Float64("theta", workload.DefaultTheta, "zipfian skew in (0,1)")
 		hot      = flag.String("hot", fmt.Sprintf("%d/%d", workload.DefaultHotOpsPct, workload.DefaultHotKeysPct), "hotspot shape opsPct/keysPct")
 		shift    = flag.Int("shift-every", workload.DefaultShiftEvery, "shifting-hotspot rotation period (draws)")
-		pipeline = flag.Int("pipeline", 1, "requests per round trip (pipelining depth; a batch-mode server executes each burst as one speculation batch)")
+		pipeline = flag.Int("pipeline", 1, "requests per round trip (pipelining depth)")
 		seed     = flag.Uint64("seed", 0, "worker seed (0 = default)")
 		noFill   = flag.Bool("no-fill", false, "skip pre-filling the keyspace")
 		report   = flag.Duration("report-every", 0, "print live windowed progress (ops/s, p50/p99, abort rate) to stderr at this period while measuring (0 = off)")

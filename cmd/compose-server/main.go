@@ -61,16 +61,13 @@ func main() {
 		engine  = flag.String("engine", "oestm", "engine to serve: oestm, lsa, tl2, swisstm, estm")
 		shards  = flag.Int("shards", store.DefaultShards, "shard count (power of two)")
 		cmName  = flag.String("cm", cm.DefaultName, "contention-management policy per connection: "+strings.Join(cm.Names(), "|"))
-		retries = flag.Int("max-retries", 0, "bound the retries of every transaction of every request with -exec=conn (0 = unlimited; exhaustion returns a typed error; -exec=batch commits per shard serially and needs no bound)")
+		retries = flag.Int("max-retries", 0, "bound the retries of every transaction of every request (0 = unlimited; exhaustion returns a typed error)")
 		unsound = flag.Bool("unsound", false, "split composed operations into separate transactions (atomicity deliberately broken)")
 		boost   = flag.String("boost", "auto", "commutative hot-key path for add/madd: off (read-modify-write control), auto (promote keys whose add stream aborts), on (boost every add)")
 		drain   = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget before connections are closed hard")
 		walDir  = flag.String("wal-dir", "", "write-ahead-log directory: makes the store durable, recovering its contents on start (empty = in-memory only)")
 		fsync   = flag.Bool("fsync", true, "fsync every WAL group commit (with -wal-dir; off, acknowledged writes survive crashes but not power loss)")
 		snap    = flag.Duration("snapshot-every", 0, "periodic WAL snapshot interval (with -wal-dir; 0 = none)")
-		exec    = flag.String("exec", server.ExecConn, "execution model: conn (goroutine per connection) or batch (speculative batch executor; pipelined bursts run as optimistic parallel batches committed in arrival order)")
-		workers = flag.Int("batch-workers", 0, "batch executor worker-pool size (with -exec=batch; 0 = GOMAXPROCS)")
-		maxBat  = flag.Int("max-batch", 0, "max requests per speculation batch (with -exec=batch; 0 = library default)")
 		admin   = flag.String("admin-addr", "", "admin HTTP listen address for /metrics, /stats, /debug/aborts and /debug/pprof/ (empty = off)")
 	)
 	flag.Parse()
@@ -97,9 +94,6 @@ func main() {
 		WALDir:        *walDir,
 		Fsync:         *fsync,
 		SnapshotEvery: *snap,
-		Exec:          *exec,
-		BatchWorkers:  *workers,
-		MaxBatch:      *maxBat,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compose-server:", err)
@@ -133,8 +127,8 @@ func main() {
 	if *unsound {
 		mode = " (UNSOUND: composed atomicity deliberately broken)"
 	}
-	fmt.Printf("compose-server: engine=%s cm=%s shards=%d exec=%s boost=%s listening on %s%s\n",
-		eng.Name, *cmName, *shards, *exec, boostMode, srv.Addr(), mode)
+	fmt.Printf("compose-server: engine=%s cm=%s shards=%d boost=%s listening on %s%s\n",
+		eng.Name, *cmName, *shards, boostMode, srv.Addr(), mode)
 
 	<-sig
 	fmt.Println("compose-server: draining...")

@@ -88,39 +88,6 @@ func TestCounterFaninExactSum(t *testing.T) {
 	}
 }
 
-// TestCounterFaninBatchMode runs the same checker against the
-// speculative batch executor: deltas merge commutatively in the
-// multi-version map and commit in batch order, so conservation must
-// hold there too.
-func TestCounterFaninBatchMode(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	eng, _ := EngineByName("oestm")
-	srv := startFaninServer(t, server.Config{
-		Engine:       eng.Name,
-		NewTM:        eng.New,
-		Shards:       8,
-		MaxRetries:   2000,
-		Exec:         server.ExecBatch,
-		BatchWorkers: 4,
-	})
-	r, err := RunCounterFanin(LoadConfig{
-		Addr:     srv.Addr().String(),
-		Conns:    4,
-		Duration: 80 * time.Millisecond,
-		Warmup:   20 * time.Millisecond,
-		Keys:     16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Violations != 0 {
-		t.Fatalf("batch mode: counter conservation broken: %d violations", r.Violations)
-	}
-	if r.Server.Adds == 0 {
-		t.Fatalf("no adds attributed: %+v", r)
-	}
-}
-
 // TestCounterFaninUnsoundViolates REQUIRES the checker to catch the
 // unsound ablation: with composed operations split into separate
 // transactions, torn snapshots and lost updates must surface as

@@ -170,7 +170,7 @@ type Result struct {
 	// networked results: every counter of wire.StatsPayload as a delta
 	// between the scrapes at the window's edges (StatsPayload.Sub), with
 	// identity and gauges as of its close. The CSV's trailing columns
-	// (wal, exec, the spec_* and hot-key counters; wire.StatsTable says
+	// (wal and hot-key counters; wire.StatsTable says
 	// which) read it; nil for in-process runs, whose cells render "-"/0.
 	Server *wire.StatsPayload
 }

@@ -132,11 +132,9 @@ type LoadConfig struct {
 	// deltas).
 	SkipFill bool
 	// Pipeline is the pipelining depth: each worker issues this many
-	// requests per round trip (0 or 1 = classic one-at-a-time). Against
-	// a batch-mode server a pipelined burst becomes one speculation
-	// batch, so this is the knob that feeds the speculative executor
-	// parallel work; against a conn-mode server it just amortizes
-	// network round trips.
+	// requests per round trip (0 or 1 = classic one-at-a-time); the
+	// server serves a pipelined burst in one turn, so deeper pipelines
+	// amortize network round trips and group commits.
 	Pipeline int
 	// ReportEvery, when positive, prints a live progress line to
 	// ReportTo at that period while the window runs: the window's ops/s,

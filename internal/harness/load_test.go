@@ -288,7 +288,7 @@ const parentCSVHeader = "scenario,structure,bulk_pct,engine,cm,dist,theta,thread
 	"lat_p50_us,lat_p95_us,lat_p99_us,lat_max_us,violations,ops,commits,aborts," +
 	"aborts_read_validation,aborts_lock_busy,aborts_snapshot_extension,aborts_commit_validation," +
 	"aborts_elastic_window,aborts_doomed,aborts_explicit,aborts_unknown," +
-	"wal,wal_appends,wal_syncs,wal_bytes,exec,spec_execs,spec_reexecs,spec_validation_fails," +
+	"wal,wal_appends,wal_syncs,wal_bytes," +
 	"adds,boosted_ops,hot_promotions,hot_demotions"
 
 // TestCSVSchemaPinned pins the CSV byte for byte against literals: the
@@ -305,7 +305,6 @@ func TestCSVSchemaPinned(t *testing.T) {
 		Violations: 1, Ops: 1000, Commits: 900, Aborts: 36,
 		Server: &wire.StatsPayload{
 			WALEnabled: true, WALAppends: 11, WALSyncs: 12, WALBytes: 13,
-			Exec: "batch", SpecBatches: 20, SpecExecs: 21, SpecReexecs: 22, SpecValidationFails: 23,
 			Adds: 31, BoostedOps: 32, HotPromotions: 33, HotDemotions: 34,
 		},
 	}
@@ -314,8 +313,8 @@ func TestCSVSchemaPinned(t *testing.T) {
 	}
 	seq := Result{Engine: "sequential", Scenario: "mix", Structure: "linkedlist", BulkPct: 5, CM: "-", Dist: "uniform", Threads: 1, OpsPerMs: 9.5, Ops: 77}
 	want := parentCSVHeader + "\n" +
-		"server,store/16shards,0,oestm,adaptive,zipfian:0.99,0.99,4,123.46,1.234,0.012,1.5,2.5,3.5,45.0,1,1000,900,36,2,3,4,5,6,7,8,1,on,11,12,13,batch,21,22,23,31,32,33,34\n" +
-		"mix,linkedlist,5,sequential,-,uniform,0.00,1,9.50,0.000,0.000,0.0,0.0,0.0,0.0,0,77,0,0,0,0,0,0,0,0,0,0,-,0,0,0,-,0,0,0,0,0,0,0\n"
+		"server,store/16shards,0,oestm,adaptive,zipfian:0.99,0.99,4,123.46,1.234,0.012,1.5,2.5,3.5,45.0,1,1000,900,36,2,3,4,5,6,7,8,1,on,11,12,13,31,32,33,34\n" +
+		"mix,linkedlist,5,sequential,-,uniform,0.00,1,9.50,0.000,0.000,0.0,0.0,0.0,0.0,0,77,0,0,0,0,0,0,0,0,0,0,-,0,0,0,0,0,0,0\n"
 	if got := CSV([]Result{r, seq}); got != want {
 		t.Fatalf("CSV drifted:\n got %s\nwant %s", got, want)
 	}

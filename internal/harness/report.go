@@ -408,21 +408,16 @@ func FormatHotKeys(results []Result) string {
 // results, "-" for in-process runs) with
 // wal_appends/wal_syncs/wal_bytes, the server's write-ahead-log deltas
 // over the measured window (records appended, group-commit flush
-// batches, bytes written), and the execution-model axis: exec ("conn" or
-// "batch" for server load results, "-" for in-process runs) with
-// spec_execs/spec_reexecs/spec_validation_fails, the speculative
-// executor's deltas over the measured window (Speculate attempts,
-// attempts beyond a transaction's first, completed attempts whose read
-// set failed validation; all zero in conn mode), and the commutative
-// hot-key axis: adds/boosted_ops/hot_promotions/hot_demotions, the
-// server's delta-operation counters over the measured window (delta
-// operations accepted, how many ran boosted under abstract per-key
-// locks, keys the adaptive tracker promoted, promoted keys folded back
-// by absolute operations; all zero for in-process runs and non-add
-// mixes). The wal, exec and hot-key columns sit at the end, newest
-// last, so earlier consumers' positional indexes keep working: they are
-// not listed here but generated from wire.StatsTable (the rows marked
-// CSV, in table order), read out of Result.Server by serverCell.
+// batches, bytes written), and the commutative hot-key axis:
+// adds/boosted_ops/hot_promotions/hot_demotions, the server's
+// delta-operation counters over the measured window (delta operations
+// accepted, how many ran boosted under abstract per-key locks, keys the
+// adaptive tracker promoted, promoted keys folded back by absolute
+// operations; all zero for in-process runs and non-add mixes). The wal
+// and hot-key columns sit at the end, newest last, so earlier consumers'
+// positional indexes keep working: they are not listed here but
+// generated from wire.StatsTable (the rows marked CSV, in table order),
+// read out of Result.Server by serverCell.
 var CSVHeader = func() string {
 	cols := "scenario,structure,bulk_pct,engine,cm,dist,theta,threads,ops_per_ms,abort_rate,allocs_per_op," +
 		"lat_p50_us,lat_p95_us,lat_p99_us,lat_max_us,violations,ops,commits,aborts"

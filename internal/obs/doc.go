@@ -9,7 +9,7 @@
 //	               per-opcode request counts and latency histograms
 //	               (log-bucketed stats.Histogram re-bucketed exactly onto
 //	               power-of-two le boundaries), abort counters by cause
-//	               and engine, WAL / speculation / hot-key counters, the
+//	               and engine, WAL and hot-key counters, the
 //	               per-shard telemetry block, and Go runtime gauges.
 //	/stats         The binary wire.StatsPayload over HTTP, so tooling can
 //	               scrape without speaking the TCP wire protocol.

@@ -82,8 +82,8 @@ func WriteMetrics(b *bytes.Buffer, p *wire.StatsPayload, rec *FlightRecorder) {
 // function of p, which is what the golden test renders.
 func renderPayload(b *bytes.Buffer, p *wire.StatsPayload) {
 	head(b, "compose_server_info", "gauge", "Server identity; constant 1.")
-	fmt.Fprintf(b, "compose_server_info{cm=%q,engine=%q,exec=%q} 1\n",
-		escapeLabel(p.CM), escapeLabel(p.Engine), escapeLabel(p.Exec))
+	fmt.Fprintf(b, "compose_server_info{cm=%q,engine=%q} 1\n",
+		escapeLabel(p.CM), escapeLabel(p.Engine))
 	head(b, "compose_shards", "gauge", "Store shard count.")
 	fmt.Fprintf(b, "compose_shards %d\n", p.Shards)
 	head(b, "compose_connections", "gauge", "Currently open client connections.")
@@ -99,14 +99,10 @@ func renderPayload(b *bytes.Buffer, p *wire.StatsPayload) {
 		opHist(b, wire.Op(i).String(), &p.Ops[i].Hist)
 	}
 
-	// The scalar families, in wire.StatsTable order. Identity labels ride
-	// on compose_server_info above, not as families of their own.
+	// The scalar families, in wire.StatsTable order.
 	engine := escapeLabel(p.Engine)
 	for i := range wire.StatsTable {
 		d := &wire.StatsTable[i]
-		if d.Kind == wire.StatLabel {
-			continue
-		}
 		name, typ := family(d.Name, d.Kind)
 		head(b, name, typ, d.Help)
 		switch {

@@ -26,8 +26,6 @@ func goldenPayload() *wire.StatsPayload {
 		Engine: "oestm", CM: "adaptive", Shards: 4, Conns: 3,
 		Commits: 10001, Aborts: 0,
 		WALEnabled: true, WALAppends: 501, WALSyncs: 502, WALBytes: 50003,
-		Exec:        "conn",
-		SpecBatches: 601, SpecExecs: 602, SpecReexecs: 603, SpecValidationFails: 604,
 		Adds: 701, BoostedOps: 702, HotPromotions: 703, HotDemotions: 704,
 	}
 	for i := range p.AbortsByCause {
@@ -189,12 +187,11 @@ func TestMetricsKeySeries(t *testing.T) {
 	WriteMetrics(&b, p, NewFlightRecorder())
 	out := b.String()
 	for _, want := range []string{
-		`compose_server_info{cm="adaptive",engine="oestm",exec="conn"} 1`,
+		`compose_server_info{cm="adaptive",engine="oestm"} 1`,
 		`compose_aborts_total{cause="lock_busy",engine="oestm"} 33`,
 		`compose_aborts_total{cause="commit_validation",engine="oestm"} 55`,
 		"compose_commits_total 10001",
 		"compose_wal_bytes_total 50003",
-		"compose_spec_validation_fails_total 604",
 		"compose_adds_total 701",
 		"compose_boosted_ops_total 702",
 		"compose_hot_promotions_total 703",

@@ -23,8 +23,8 @@ type allocCase struct {
 	op   func() error
 }
 
-// pinAllocs warms every case once (buffers, frames, the WAL batch, the
-// batch executor's task pool), then checks its steady-state count.
+// pinAllocs warms every case once (buffers, frames, the WAL batch), then
+// checks its steady-state count.
 func pinAllocs(t *testing.T, mode string, cases []allocCase) {
 	t.Helper()
 	for _, tc := range cases {
@@ -101,24 +101,4 @@ func TestEndToEndAllocsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinAllocs(t, " with WAL", requestCases(c, keys))
-}
-
-// TestEndToEndAllocsBatch re-pins the budgets under the speculative
-// batch executor. Unpipelined clients send one-request bursts, which
-// the executor runs on its solo fast path — no multi-version map, no
-// worker handoff, a reused View on the dispatcher slot — so batch mode
-// must hold the conn-mode budgets exactly. A regression here means the
-// fast path fell off (every unpipelined client would pay the full
-// speculation machinery per request).
-func TestEndToEndAllocsBatch(t *testing.T) {
-	s := startServer(t, Config{
-		Engine: "oestm", NewTM: func() stm.TM { return core.New() },
-		Shards: 8, Exec: ExecBatch, BatchWorkers: 4,
-	})
-	c := dial(t, s)
-	keys := []int64{1, 2, 3, 4}
-	if err := c.MPut(keys, []int64{10, 20, 30, 40}); err != nil {
-		t.Fatal(err)
-	}
-	pinAllocs(t, " in batch mode", requestCases(c, keys))
 }

@@ -79,10 +79,8 @@ func (c *Client) roundTrip() error {
 // Pipeline issues reqs as one pipelined burst: every request is written
 // and flushed before any response is read, and the i'th response is
 // decoded into resps[i] (len(resps) must equal len(reqs); each Response
-// value's slices are reused across calls). A batch-mode server receives
-// the burst whole and executes it as one speculative batch; a conn-mode
-// server serves it sequentially — either way responses come back in
-// request order, so the two modes are indistinguishable here.
+// value's slices are reused across calls). The server serves the burst
+// in order and answers it in request order.
 //
 // The burst is encoded whole before anything is written, so a request
 // that cannot be framed fails the call with nothing sent; and every

@@ -8,11 +8,11 @@
 // an stm.Thread on the server's engine (with the configured contention
 // policy installed), a store.Frame with pre-bound composed-operation
 // closures, a pool of request/response records, and reusable read/encode
-// buffers. It serves in turns of one shape in both execution models:
-// read a burst (one blocking frame, then every complete frame already
-// buffered) and decode it into the pool; execute it (in order on the
-// frame in conn mode, as one speculative batch in batch mode); wait once
-// for the write-ahead log to make the turn's mutations durable
+// buffers. It serves in turns: read a burst (one blocking frame, then
+// every complete frame already buffered) and decode it into the pool;
+// execute it in order on the frame, each request one relaxed
+// transaction on the connection's own thread; wait once for the
+// write-ahead log to make the turn's mutations durable
 // (store.Frame.WALErr); encode every response; write them with one
 // write(2). No per-request goroutines, no per-request allocations beyond
 // what the store's values require. Requests, not goroutines, are the unit

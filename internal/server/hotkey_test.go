@@ -1,6 +1,6 @@
 // Serving-layer tests for the commutative hot-key path: the Add/MAdd
-// opcodes over a real socket, in both execution models, against every
-// boost mode — plus the allocation pins of the boosted fast path.
+// opcodes over a real socket against every boost mode — plus the
+// allocation pins of the boosted fast path.
 package server
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 // TestAddRoundTripModes exercises Add/MAdd over the wire for every
-// engine in every boost mode and in batch mode: sums must land exactly,
+// engine in every boost mode: sums must land exactly,
 // reads must see them, and the stats payload must count the adds.
 func TestAddRoundTripModes(t *testing.T) {
 	type mode struct {
@@ -27,7 +27,6 @@ func TestAddRoundTripModes(t *testing.T) {
 		{"conn-off", func(c Config) Config { c.Boost = store.BoostOff; return c }},
 		{"conn-auto", func(c Config) Config { c.Boost = store.BoostAuto; return c }},
 		{"conn-on", func(c Config) Config { c.Boost = store.BoostOn; return c }},
-		{"batch", func(c Config) Config { c.Exec = ExecBatch; c.BatchWorkers = 4; return c }},
 	}
 	for _, eng := range engines() {
 		for _, m := range modes {
@@ -137,26 +136,21 @@ func addHeavyBody(rng *rand.Rand, keys int64) []byte {
 	return wire.AppendRequest(nil, &r)
 }
 
-// TestAddEquivalenceAcrossModes pins that the three executions of an
-// add — boosted overlay, read-modify-write transaction, speculative
-// blind delta — are observationally identical: seeded add-heavy bursts
-// (with absolute ops interleaved, so promotion and demotion both churn)
-// answered byte-identically by conn-off, conn-on and batch servers,
-// ending in identical store state.
+// TestAddEquivalenceAcrossModes pins that the two executions of an add
+// — boosted overlay and read-modify-write transaction — are
+// observationally identical: seeded add-heavy bursts (with absolute ops
+// interleaved, so promotion and demotion both churn) answered
+// byte-identically by conn-off and conn-on servers, ending in identical
+// store state.
 func TestAddEquivalenceAcrossModes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const keys = 16
 	eng := engines()[0]
-	servers := []*Server{
-		startServer(t, Config{Engine: eng.name, NewTM: eng.newi, Shards: 8, Boost: store.BoostOff}),
-		startServer(t, Config{Engine: eng.name, NewTM: eng.newi, Shards: 8, Boost: store.BoostOn}),
-		startServer(t, Config{Engine: eng.name, NewTM: eng.newi, Shards: 8, Exec: ExecBatch, BatchWorkers: 4}),
-	}
-	names := []string{"conn-off", "conn-on", "batch"}
+	off := startServer(t, Config{Engine: eng.name, NewTM: eng.newi, Shards: 8, Boost: store.BoostOff})
+	on := startServer(t, Config{Engine: eng.name, NewTM: eng.newi, Shards: 8, Boost: store.BoostOn})
 	rng := rand.New(rand.NewPCG(0xadd, 0xb0057))
-	ncA, brA := rawDial(t, servers[0])
-	ncB, brB := rawDial(t, servers[1])
-	ncC, brC := rawDial(t, servers[2])
+	ncA, brA := rawDial(t, off)
+	ncB, brB := rawDial(t, on)
 	for burst := 0; burst < 30; burst++ {
 		n := rng.IntN(32) + 1
 		bodies := make([][]byte, n)
@@ -165,15 +159,10 @@ func TestAddEquivalenceAcrossModes(t *testing.T) {
 		}
 		ra := sendBurst(t, ncA, brA, bodies)
 		rb := sendBurst(t, ncB, brB, bodies)
-		rc := sendBurst(t, ncC, brC, bodies)
 		for i := range ra {
 			if !bytes.Equal(ra[i], rb[i]) {
-				t.Fatalf("burst %d response %d: %s diverges from %s:\n%x\n%x\nrequest %x",
-					burst, i, names[1], names[0], rb[i], ra[i], bodies[i])
-			}
-			if !bytes.Equal(ra[i], rc[i]) {
-				t.Fatalf("burst %d response %d: %s diverges from %s:\n%x\n%x\nrequest %x",
-					burst, i, names[2], names[0], rc[i], ra[i], bodies[i])
+				t.Fatalf("burst %d response %d: conn-on diverges from conn-off:\n%x\n%x\nrequest %x",
+					burst, i, rb[i], ra[i], bodies[i])
 			}
 		}
 	}
@@ -184,61 +173,15 @@ func TestAddEquivalenceAcrossModes(t *testing.T) {
 	req := wire.AppendRequest(nil, &wire.Request{Op: wire.OpMGet, Keys: all})
 	ea := sendBurst(t, ncA, brA, [][]byte{req})
 	eb := sendBurst(t, ncB, brB, [][]byte{req})
-	ec := sendBurst(t, ncC, brC, [][]byte{req})
-	if !bytes.Equal(ea[0], eb[0]) || !bytes.Equal(ea[0], ec[0]) {
-		t.Fatalf("end states diverge:\nconn-off: %x\nconn-on:  %x\nbatch:    %x", ea[0], eb[0], ec[0])
-	}
-}
-
-// TestBatchSingleHotKeyNoValidationFails is the batch-mode acceptance
-// pin: pipelined bursts of adds all hammering ONE key — the workload
-// that turns RMW puts into full dependency chains — must speculate with
-// ZERO validation failures and zero re-executions, because blind deltas
-// record no reads and never invalidate each other.
-func TestBatchSingleHotKeyNoValidationFails(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	s := startServer(t, Config{
-		Engine: "oestm", NewTM: func() stm.TM { return core.New() },
-		Shards: 8, Exec: ExecBatch, BatchWorkers: 4, MaxBatch: 64,
-	})
-	nc, br := rawDial(t, s)
-	const rounds, depth = 20, 32
-	body := wire.AppendRequest(nil, &wire.Request{Op: wire.OpAdd, Key: 7, Val: 1})
-	bodies := make([][]byte, depth)
-	for i := range bodies {
-		bodies[i] = body
-	}
-	for r := 0; r < rounds; r++ {
-		for i, resp := range sendBurst(t, nc, br, bodies) {
-			if len(resp) == 0 || wire.Status(resp[0]) != wire.StatusOK {
-				t.Fatalf("round %d response %d not OK: %x", r, i, resp)
-			}
-		}
-	}
-	c := dial(t, s)
-	if v, ok, err := c.Get(7); err != nil || !ok || v != rounds*depth {
-		t.Fatalf("Get(7) = %d,%v,%v want %d,true,nil", v, ok, err, rounds*depth)
-	}
-	var p wire.StatsPayload
-	if err := c.Stats(&p); err != nil {
-		t.Fatal(err)
-	}
-	if p.SpecValidationFails != 0 {
-		t.Errorf("single-hot-key adds caused %d validation fails, want 0", p.SpecValidationFails)
-	}
-	if p.SpecReexecs != 0 {
-		t.Errorf("single-hot-key adds caused %d re-executions, want 0", p.SpecReexecs)
-	}
-	if p.SpecBatches == 0 || p.Adds != rounds*depth {
-		t.Errorf("batches %d, adds %d (want adds %d)", p.SpecBatches, p.Adds, rounds*depth)
+	if !bytes.Equal(ea[0], eb[0]) {
+		t.Fatalf("end states diverge:\nconn-off: %x\nconn-on:  %x", ea[0], eb[0])
 	}
 }
 
 // TestEndToEndAllocsAdd pins the allocation budgets of the add path
 // end-to-end, per execution: a whole client round trip allocates
 // NOTHING, whether the boosted overlay mutates an int64 in place or the
-// RMW control and the batch commit store the sum into the key's value
-// word. The wide deltas push the stored values far outside [0, 255] in
+// RMW control stores the sum into the key's value word. The wide deltas push the stored values far outside [0, 255] in
 // both directions.
 func TestEndToEndAllocsAdd(t *testing.T) {
 	newTM := func() stm.TM { return core.New() }
@@ -264,9 +207,5 @@ func TestEndToEndAllocsAdd(t *testing.T) {
 	t.Run("conn-rmw", func(t *testing.T) {
 		s := startServer(t, Config{Engine: "oestm", NewTM: newTM, Shards: 8, Boost: store.BoostOff})
 		pinAllocs(t, "", adds(dial(t, s), "rmw"))
-	})
-	t.Run("batch-solo", func(t *testing.T) {
-		s := startServer(t, Config{Engine: "oestm", NewTM: newTM, Shards: 8, Exec: ExecBatch, BatchWorkers: 4})
-		pinAllocs(t, "", adds(dial(t, s), "solo"))
 	})
 }

@@ -7,14 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"oestm/internal/cm"
 	"oestm/internal/obs"
-	"oestm/internal/specexec"
 	"oestm/internal/stm"
 	"oestm/internal/store"
 	"oestm/internal/wal"
@@ -36,24 +34,20 @@ type Config struct {
 	// thread (internal/cm; empty = cm.DefaultName).
 	CM string
 	// MaxRetries, when non-zero, bounds the attempts of every transaction
-	// of every conn-mode request (it is the connection thread's
+	// of every request (it is the connection thread's
 	// stm.Thread.MaxRetries); exhaustion returns ErrRetryExhausted to the
 	// client instead of retrying forever — a liveness guard for the
 	// ablations, under which a torn composition can leave a structure on
-	// which every attempt conflicts. It is not applied to the batch
-	// executor's applier threads: speculation runs no engine transactions,
-	// and a shard's commit job is the only writer of its shard (reads
-	// happen in a disjoint phase), so its apply transactions have nothing
-	// to conflict with and need no bound.
+	// which every attempt conflicts.
 	MaxRetries int
 	// Unsound builds the store in unsound mode (composed operations split
 	// into separate transactions — the checker-validation baseline).
 	Unsound bool
 	// Boost selects the store's commutative hot-key mode for the
-	// integer-delta requests (Add/MAdd) in conn mode: BoostOff (zero
-	// value) runs them as read-modify-write transactions, BoostAuto
-	// promotes keys adaptively, BoostOn promotes every add's key
-	// (store.BoostMode; unsound mode forces off).
+	// integer-delta requests (Add/MAdd): BoostOff (zero value) runs them
+	// as read-modify-write transactions, BoostAuto promotes keys
+	// adaptively, BoostOn promotes every add's key (store.BoostMode;
+	// unsound mode forces off).
 	Boost store.BoostMode
 	// MaxBody caps accepted frame bodies (0 = wire.MaxBody).
 	MaxBody int
@@ -68,18 +62,6 @@ type Config struct {
 	// SnapshotEvery, when positive, writes a snapshot generation at that
 	// period (WALDir only) — a replay accelerator; the log is kept whole.
 	SnapshotEvery time.Duration
-	// Exec selects the execution model: ExecConn (default, also "")
-	// serves each connection on its own goroutine; ExecBatch runs the
-	// speculative batch executor — pipelined bursts become batches
-	// executed optimistically in parallel and committed in arrival
-	// order (see batch.go and internal/specexec).
-	Exec string
-	// BatchWorkers is the batch executor's worker-pool size
-	// (Exec == ExecBatch; 0 = GOMAXPROCS).
-	BatchWorkers int
-	// MaxBatch caps how many queued requests one batch drains
-	// (Exec == ExecBatch; 0 = specexec.DefaultMaxBatch).
-	MaxBatch int
 }
 
 // Server is a running instance. Create with New, start with Start.
@@ -98,11 +80,6 @@ type Server struct {
 	snapDone chan struct{}
 	walClose sync.Once
 	walErr   error
-
-	batchClose sync.Once
-
-	// batch is the speculative execution backend (nil in conn mode).
-	batch *batchEngine
 
 	mu       sync.Mutex
 	conns    map[*conn]struct{}
@@ -132,13 +109,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBody == 0 {
 		cfg.MaxBody = wire.MaxBody
-	}
-	switch cfg.Exec {
-	case "":
-		cfg.Exec = ExecConn
-	case ExecConn, ExecBatch:
-	default:
-		return nil, fmt.Errorf("server: unknown exec mode %q", cfg.Exec)
 	}
 	shards := cfg.Shards
 	if shards == 0 {
@@ -170,18 +140,6 @@ func New(cfg Config) (*Server, error) {
 		// frame is live, and the one recovery thread sees them alone.
 		s.st.Recover(stm.NewThread(s.tm), recovery)
 	}
-	if cfg.Exec == ExecBatch {
-		workers := cfg.BatchWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		b, err := newBatchEngine(s, workers, cfg.MaxBatch)
-		if err != nil {
-			s.closeWAL()
-			return nil, err
-		}
-		s.batch = b
-	}
 	return s, nil
 }
 
@@ -210,9 +168,6 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	if s.batch != nil {
-		s.batch.exec.Start()
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	if s.wlog != nil && s.cfg.SnapshotEvery > 0 {
@@ -307,9 +262,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 		// Every handler has returned, so no appends are in flight: the
 		// final flush drains whatever the last group commits buffered.
-		// The batch executor closes first — Close drains every batch
-		// already submitted, and its commits append to the log.
-		s.closeBatch()
 		return s.closeWAL()
 	case <-ctx.Done():
 		// Close hard: the closed socket unblocks a handler doing IO, and
@@ -323,24 +275,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		select {
 		case <-done:
-			s.closeBatch()
 			_ = s.closeWAL()
 		case <-time.After(time.Second):
-			// Handlers may still be live; closing the log (or the batch
-			// executor) under them would turn in-flight work into
-			// spurious errors, so both are left to the process exit
-			// (every acknowledged request's record was already written
-			// by its turn's WALErr).
+			// Handlers may still be live; closing the log under them
+			// would turn in-flight work into spurious errors, so it is
+			// left to the process exit (every acknowledged request's
+			// record was already written by its turn's WALErr).
 		}
 		return ctx.Err()
-	}
-}
-
-// closeBatch drains and stops the batch executor, once. Callers must
-// know every handler has returned — nothing may submit afterwards.
-func (s *Server) closeBatch() {
-	if s.batch != nil {
-		s.batchClose.Do(s.batch.exec.Close)
 	}
 }
 
@@ -405,7 +347,6 @@ func (s *Server) statsPayload(p *wire.StatsPayload) {
 		Engine:     s.cfg.Engine,
 		CM:         s.cmName,
 		Shards:     s.st.Shards(),
-		Exec:       s.cfg.Exec,
 		WALEnabled: s.wlog.Enabled(),
 		WALAppends: ws.Appends,
 		WALSyncs:   ws.Syncs,
@@ -416,14 +357,6 @@ func (s *Server) statsPayload(p *wire.StatsPayload) {
 	p.BoostedOps = bs.BoostedOps
 	p.HotPromotions = bs.Promotions
 	p.HotDemotions = bs.Demotions
-	if s.batch != nil {
-		ss := s.batch.exec.Stats()
-		p.SpecBatches = ss.Batches
-		p.SpecExecs = ss.Execs
-		p.SpecReexecs = ss.Reexecs
-		p.SpecValidationFails = ss.ValidationFails
-		p.AddSTM(s.batch.threadStats())
-	}
 	// Per-shard telemetry: the store's padded per-shard counters.
 	shards := s.st.Shards()
 	p.ShardStats = make([]wire.ShardTelemetry, shards)
@@ -452,10 +385,9 @@ func (s *Server) retire(c *conn) {
 }
 
 // request is one request in flight: the decoded arguments and the
-// response its execution fills — conn.exec against the connection's
-// frame in conn mode, Speculate attempts against the batch view in batch
-// mode (see batch.go). Requests are pooled per connection and reused, so
-// the slices inside req and resp are the steady state's only buffers.
+// response conn.exec fills against the connection's frame. Requests are
+// pooled per connection and reused, so the slices inside req and resp are
+// the steady state's only buffers.
 type request struct {
 	c    *conn
 	req  wire.Request
@@ -467,10 +399,9 @@ type request struct {
 	// runs marks requests that execute against the store; Stats, Ping
 	// and pre-resolved errors are answered at encode time.
 	runs bool
-	// aborts is what the request's own transactions aborted (conn mode;
-	// zero in batch mode, whose aborts happen on applier threads), and
-	// cause the dominant conflict cause among them — sampled into the
-	// flight recorder once the turn's responses are sent.
+	// aborts is what the request's own transactions aborted, and cause
+	// the dominant conflict cause among them — sampled into the flight
+	// recorder once the turn's responses are sent.
 	aborts uint64
 	cause  stm.ConflictCause
 }
@@ -538,18 +469,11 @@ type conn struct {
 	// burst, in arrival order.
 	reqs []*request
 
-	// Batch-mode state (srv.batch != nil): the submission scratch and the
-	// completion signal the executor's Done callback drives (see
-	// batch.go).
-	burst   []specexec.Txn
-	pending atomic.Int32
-	doneCh  chan struct{}
-
 	stats connStats
 
-	// Flight-recorder state (conn mode): the connection's write handle
-	// and its last-seen per-cause abort counters, diffed to name the
-	// dominant cause of each abort-suffering request (dominantCause).
+	// Flight-recorder state: the connection's write handle and its
+	// last-seen per-cause abort counters, diffed to name the dominant
+	// cause of each abort-suffering request (dominantCause).
 	ring   *obs.Ring
 	causes [stm.NumCauses]uint64
 }
@@ -559,21 +483,14 @@ func newConn(s *Server, nc net.Conn) *conn {
 	th := stm.NewThread(s.tm)
 	th.CM = cm.MustNew(s.cmName)
 	th.MaxRetries = s.cfg.MaxRetries
-	c := &conn{
-		srv: s,
-		nc:  nc,
-		br:  bufio.NewReaderSize(nc, 32<<10),
-		th:  th,
-		fr:  s.st.NewFrame(th),
+	return &conn{
+		srv:  s,
+		nc:   nc,
+		br:   bufio.NewReaderSize(nc, 32<<10),
+		th:   th,
+		fr:   s.st.NewFrame(th),
+		ring: s.flight.Ring(),
 	}
-	if s.batch != nil {
-		c.doneCh = make(chan struct{}, 1)
-	} else {
-		// Batch-mode aborts happen on applier workers without request
-		// context; only conn mode records flight events.
-		c.ring = s.flight.Ring()
-	}
-	return c
 }
 
 // slot returns the i'th pooled request, growing the pool as needed.
@@ -634,22 +551,17 @@ func (c *conn) nextFrameBuffered() bool {
 	return c.br.Buffered() >= wire.HeaderSize+n
 }
 
-// handle is the connection's request loop, one turn shape for both
-// execution models. A turn collects a burst — one blocking frame, then
-// every complete frame already buffered — and executes it: conn mode runs
-// conn.exec over it in order on the connection's own frame, batch mode
-// submits it to the executor as one unit and parks until it committed
-// (the burst boundary is what turns client pipelining into server
-// parallelism; a pipeline depth of one degenerates to solo batches). The
-// turn then waits once for its mutations to be durable (Frame.WALErr),
-// encodes every response in arrival order and writes them with one
-// write(2). A turn ends only when no complete frame is buffered, so a
-// pipelined burst costs one group commit and one response write.
+// handle is the connection's request loop. A turn collects a burst — one
+// blocking frame, then every complete frame already buffered — and runs
+// conn.exec over it in order on the connection's own frame. The turn then
+// waits once for its mutations to be durable (Frame.WALErr), encodes
+// every response in arrival order and writes them with one write(2). A
+// turn ends only when no complete frame is buffered, so a pipelined burst
+// costs one group commit and one response write.
 //
 // Shutdown's read deadline interrupts the next blocking read, never a
 // turn in flight: already-buffered pipelined requests still drain (bufio
-// serves them without touching the socket), and the executor always
-// completes submitted batches. A conn-mode request that Shutdown
+// serves them without touching the socket). A request that Shutdown
 // cancelled ends the burst: it and the requests before it are answered,
 // the ones after it never start, and the connection closes.
 func (c *conn) handle() {
@@ -675,20 +587,16 @@ func (c *conn) handle() {
 		if n == 0 && pe == nil {
 			return // clean close, drain-deadline interrupt or connection error
 		}
-		if c.srv.batch != nil {
-			c.runBurst(n)
-		} else {
-			for i, t := range c.reqs[:n] {
-				if t.runs && !c.exec(t) {
-					n, pe, ok = i+1, nil, false
-					break
-				}
+		for i, t := range c.reqs[:n] {
+			if t.runs && !c.exec(t) {
+				n, pe, ok = i+1, nil, false
+				break
 			}
 		}
 		// The turn's durability point, before any response is encoded: a
 		// response leaves only once its mutation's record is written. The
 		// log's I/O error is sticky, so one reading covers every mutation
-		// of the turn (batch mode's included, which Finish already synced).
+		// of the turn.
 		werr := c.fr.WALErr()
 		c.out = c.out[:0]
 		for _, t := range c.reqs[:n] {
@@ -736,9 +644,8 @@ func (c *conn) dominantCause() stm.ConflictCause {
 // recordAbort samples one abort-suffering request into the flight
 // recorder at its turn's latency. The shard is where the request's first
 // key routes, matching the per-shard abort attribution. Off the happy
-// path by construction (t.aborts != 0, which only the connection's own
-// transactions — conn mode — can cause), and allocation-free like the
-// rest of the instrumentation.
+// path by construction (t.aborts != 0), and allocation-free like the rest
+// of the instrumentation.
 func (c *conn) recordAbort(t *request, elapsed time.Duration) {
 	q := &t.req
 	key := q.Key
@@ -752,11 +659,11 @@ func (c *conn) recordAbort(t *request, elapsed time.Duration) {
 	c.ring.Record(q.Op, t.cause, c.srv.st.ShardOf(key), attempts, elapsed)
 }
 
-// exec runs one store-bound request on the connection's own frame — the
-// conn-mode execution (batch mode's is request.Speculate) — and reports
-// whether the connection may serve another request. Any operation that
-// gave up (store.Frame.Err) is answered the same way: ErrShuttingDown if
-// Shutdown cancelled the thread, ErrRetryExhausted otherwise.
+// exec runs one store-bound request on the connection's own frame and
+// reports whether the connection may serve another request. Any
+// operation that gave up (store.Frame.Err) is answered the same way:
+// ErrShuttingDown if Shutdown cancelled the thread, ErrRetryExhausted
+// otherwise.
 func (c *conn) exec(t *request) bool {
 	q, r, fr := &t.req, &t.resp, c.fr
 	a0 := c.th.Stats.Aborts
@@ -803,11 +710,10 @@ func (c *conn) exec(t *request) bool {
 	return true
 }
 
-// appendResponse encodes t's response body onto dst — the one
-// response-shaping step of both execution models. werr is the sticky WAL
-// error covering t's execution: acknowledged-but-not-durable must never
-// happen, so mutations report the typed durability error instead of
-// success, while reads keep serving — the in-memory state is intact.
+// appendResponse encodes t's response body onto dst. werr is the sticky
+// WAL error covering t's execution: acknowledged-but-not-durable must
+// never happen, so mutations report the typed durability error instead
+// of success, while reads keep serving — the in-memory state is intact.
 func (t *request) appendResponse(dst []byte, werr error) []byte {
 	r, srv := &t.resp, t.c.srv
 	switch {

@@ -1,8 +1,10 @@
-// Package specexec is the server's batch-speculative execution engine:
-// a Block-STM-style optimistic scheduler that runs a batch of
+// Package specexec is a batch-speculative execution engine: a
+// Block-STM-style optimistic scheduler that runs a batch of
 // transactions in parallel across a bounded worker pool and commits
-// them in batch order, so execution parallelism is decoupled from
-// connection count (the goroutine-per-connection model caps it there).
+// them in batch order, so execution parallelism is decoupled from the
+// number of submitters. The server no longer runs it (its batch mode
+// lost to the connection-thread model on every serving workload); the
+// benchmark ladder's specexec rungs measure it through store.Applier.
 //
 // # Model
 //
@@ -59,8 +61,8 @@
 //
 // The package is deliberately storage-agnostic: base reads, commit
 // application and completion routing are all injected, so the unit
-// tests drive it against a plain map and the server wires it to the
-// sharded store, the WAL and the connection goroutines.
+// tests drive it against a plain map and the benchmark ladder wires it
+// to the sharded store and the WAL through store.Applier.
 //
 //compose:hotpath
 package specexec

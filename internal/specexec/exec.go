@@ -59,12 +59,12 @@ type Config struct {
 	// Done is invoked for every transaction of a batch, in batch
 	// order, after the batch committed (and, with a durable
 	// committer, after Finish made it durable). It runs on the
-	// dispatcher goroutine — keep it small (the server just counts
-	// and wakes the owning connection).
+	// dispatcher goroutine — keep it small (count, or wake the
+	// submitter).
 	Done func(t Txn)
 	// AfterBatch, when non-nil, runs on the dispatcher after each
-	// batch's Done callbacks — the server snapshots worker-thread
-	// telemetry there.
+	// batch's Done callbacks, e.g. to snapshot worker-thread
+	// telemetry.
 	AfterBatch func()
 }
 
@@ -314,8 +314,7 @@ func (e *Executor) Submit(t Txn) {
 	e.qcond.Signal()
 }
 
-// SubmitAll queues a burst under one lock acquisition — the server
-// submits a connection's whole pipelined burst at once, which is also
+// SubmitAll queues a burst under one lock acquisition, which is also
 // what makes the burst land in one batch.
 func (e *Executor) SubmitAll(ts []Txn) {
 	if len(ts) == 0 {

@@ -53,10 +53,11 @@ func (b *BaseReader) ReadBase(key int64) (int64, bool) {
 // operation. It takes every touched shard's commit lock at once, lets
 // the shard jobs apply state independently, appends one record per group
 // in batch order, then releases the locks and group-commits the log.
-// Holding all the locks across the whole commit phase gives batch mode
+// Holding all the locks across the whole commit phase gives the Applier
 // the invariant recovery relies on: each shard's log order equals its
 // commit order equals batch order, and a snapshot (which also takes all
-// locks) falls between batches.
+// locks) falls between batches. The server does not use it; the
+// benchmark ladder's specexec rungs measure the executor through it.
 //
 // Methods must be called in the specexec.Committer sequence; Begin,
 // Stage, Jobs and Finish run on the dispatcher, RunJob on the worker
@@ -141,9 +142,9 @@ func (a *Applier) stage(writes []specexec.WriteDesc) {
 	for _, w := range writes {
 		sh := s.ShardOf(w.Key)
 		a.effects = append(a.effects, wal.Effect{Remove: w.Remove, Delta: w.Delta, Shard: sh, Key: w.Key, Val: w.Val})
-		// Per-shard telemetry: batch mode counts the committed write set
+		// Per-shard telemetry: the Applier counts the committed write set
 		// (speculative reads and re-executions don't route to shards in
-		// any attributable way; conn mode counts every key-operation).
+		// any attributable way; a Frame counts every key-operation).
 		s.sc[sh].ops.Add(1)
 		if w.Delta {
 			s.adds.Add(1)

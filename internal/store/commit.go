@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the store's one commit pipeline. Every mutating opcode —
-// conn-mode Frame operations and batch-mode Applier commits alike — is a
-// list of effects pushed through the same steps:
+// Frame operations and Applier commits alike — is a list of effects
+// pushed through the same steps:
 //
 //	resolve hot counters → (any involved: acquire their abstract locks in
 //	one boosted transaction) → commit locks ascending, promotions

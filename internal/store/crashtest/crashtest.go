@@ -8,8 +8,8 @@
 // must-catch-real-tearing discipline the in-memory checkers pin, pushed
 // through a process boundary and a crash.
 //
-// The server under test runs as a child process (the test binary
-// re-executed with CRASHTEST_CHILD set, dispatched by the package's
+// The server under test runs as a child process (the test binary run
+// again with CRASHTEST_CHILD set, dispatched by the package's
 // TestMain through ChildMain), because a crash must take the page-cache
 // contents and nothing else: an in-process "crash" cannot discard the
 // store's memory, and a polite shutdown would flush the very tails the
@@ -48,7 +48,6 @@ const (
 	envUnsound = "CRASHTEST_UNSOUND"
 	envRetries = "CRASHTEST_RETRIES"
 	envSnapMS  = "CRASHTEST_SNAP_MS"
-	envExec    = "CRASHTEST_EXEC"
 	envBoost   = "CRASHTEST_BOOST"
 	envFSize   = "CRASHTEST_FSIZE"
 )
@@ -134,12 +133,7 @@ func ChildMain() bool {
 		// exercise — and the suite stays fast.
 		Fsync:         false,
 		SnapshotEvery: time.Duration(snapMS) * time.Millisecond,
-		// The execution model under crash: conn when unset, batch for the
-		// speculative-executor cases. Four workers regardless of the box so
-		// batches genuinely interleave commit jobs with the kill.
-		Exec:         os.Getenv(envExec),
-		BatchWorkers: 4,
-		Boost:        boost,
+		Boost:         boost,
 	})
 	if err != nil {
 		fail(err)

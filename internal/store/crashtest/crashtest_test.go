@@ -1,7 +1,7 @@
 // Crash-recovery tests: SIGKILL the child server mid-load, replay the
 // WAL it left, audit the invariants. See the package comment for the
-// architecture (re-exec child, deterministic kill thresholds, seeded
-// workers).
+// architecture (the test binary rerun as a child, deterministic kill
+// thresholds, seeded workers).
 package crashtest
 
 import (
@@ -37,23 +37,16 @@ type child struct {
 	dir  string // its WAL directory
 }
 
-// spawn re-executes the test binary as a crash-target server and waits
+// spawn runs the test binary again as a crash-target server and waits
 // for its address line.
 func spawn(t *testing.T, engine string, shards int, unsound bool, dir string) *child {
 	t.Helper()
-	return spawnExec(t, engine, shards, unsound, dir, "")
+	return spawnBoost(t, engine, shards, unsound, dir, "")
 }
 
-// spawnExec is spawn with an explicit execution model ("" = the server
-// default, conn; "batch" = the speculative batch executor).
-func spawnExec(t *testing.T, engine string, shards int, unsound bool, dir, execMode string) *child {
-	t.Helper()
-	return spawnBoost(t, engine, shards, unsound, dir, execMode, "")
-}
-
-// spawnBoost is spawnExec with an explicit boost mode for the
-// commutative hot-key path ("" = off, the crash children's default).
-func spawnBoost(t *testing.T, engine string, shards int, unsound bool, dir, execMode, boost string) *child {
+// spawnBoost is spawn with an explicit boost mode for the commutative
+// hot-key path ("" = off, the crash children's default).
+func spawnBoost(t *testing.T, engine string, shards int, unsound bool, dir, boost string) *child {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
@@ -64,7 +57,6 @@ func spawnBoost(t *testing.T, engine string, shards int, unsound bool, dir, exec
 		fmt.Sprintf("%s=%d", envRetries, 500),
 		fmt.Sprintf("%s=%d", envUnsound, b2i(unsound)),
 		envSnapMS+"=0",
-		envExec+"="+execMode,
 		envBoost+"="+boost,
 	)
 	stdout, err := cmd.StdoutPipe()
@@ -412,12 +404,12 @@ func TestShuttleCleanOnComposingEngine(t *testing.T) {
 // positive, so a lost acknowledged add shows as a shortfall) and at
 // most that plus the deltas in flight at the kill (logged but
 // unacknowledged is allowed, lost or duplicated is not).
-func addBurst(t *testing.T, engine, execMode, boost string, killAfter int, seed uint64) {
+func addBurst(t *testing.T, engine, boost string, killAfter int, seed uint64) {
 	t.Helper()
 	const nkeys = 8
 	const workers = 4
 	dir := t.TempDir()
-	ch := spawnBoost(t, engine, 8, false, dir, execMode, boost)
+	ch := spawnBoost(t, engine, 8, false, dir, boost)
 
 	var (
 		acked   [nkeys]atomic.Int64
@@ -524,17 +516,9 @@ func addBurst(t *testing.T, engine, execMode, boost string, killAfter int, seed 
 func TestCrashRecoveryAddBurst(t *testing.T) {
 	for _, eng := range []string{"oestm", "lsa", "tl2", "swisstm"} {
 		t.Run(eng, func(t *testing.T) {
-			addBurst(t, eng, "", "on", 400, 0xadd0)
+			addBurst(t, eng, "on", 400, 0xadd0)
 		})
 	}
-}
-
-// TestCrashRecoveryAddBurstBatch runs the add burst through the
-// speculative batch executor: blind delta entries commit through the
-// applier and log as add records (plain) or delta effects (composed),
-// and replay must reproduce the acknowledged sums just the same.
-func TestCrashRecoveryAddBurstBatch(t *testing.T) {
-	addBurst(t, "oestm", "batch", "", 400, 0xadd1)
 }
 
 // pairSum is the bank-account invariant of the MPut scenario.

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"runtime"
+
 	"oestm/internal/boost"
 	"oestm/internal/eec"
 	"oestm/internal/stm"
@@ -352,6 +354,10 @@ func (f *Frame) CompareAndMove(from, to, expect int64) bool {
 		if _, occupied := f.Get(to); occupied || f.Err() != nil {
 			return false
 		}
+		// Yield between check and act: the split has no lock spanning
+		// them, and the ablation exists to be caught tearing there, which
+		// needs a window scheduling alone rarely opens.
+		runtime.Gosched()
 		f.Remove(from)
 		f.Put(to, expect)
 		return f.Err() == nil

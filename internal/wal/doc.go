@@ -21,7 +21,7 @@
 //	2 add     op u8 | shard u16 | key i64 | delta i64
 //
 // all big-endian. A Put is a one-effect record; an MPut, CompareAndMove,
-// MAdd or a batch-mode transaction's write set is one record with one
+// MAdd or a store.Applier group's write set is one record with one
 // effect per key, whichever shards they land on. The shard tag lets
 // recovery check an effect against the directory's layout. The encoding
 // is canonical — every valid byte string decodes to exactly one Record

@@ -21,8 +21,10 @@ import (
 // scalars in table order, ShardTable rows per shard, last — so a new
 // counter is one more scalar, and a peer built without it fails the
 // count check loudly; 7 = the shard_wal_bytes row dropped from
-// ShardTable (the log is one file, not one per shard).
-const statsVersion = 7
+// ShardTable (the log is one file, not one per shard); 8 = the execution-
+// model fields dropped (the exec name from the identity header, the four
+// spec_* rows from StatsTable): the server has one execution model.
+const statsVersion = 8
 
 // maxShardStats bounds the per-shard block a decoder will allocate for —
 // far above any real shard count, low enough that a hostile length
@@ -69,18 +71,6 @@ type StatsPayload struct {
 	WALSyncs   uint64
 	WALBytes   uint64
 
-	// Execution-model telemetry: the server's execution mode ("conn" or
-	// "batch") and the speculative executor's cumulative counters (all
-	// zero in conn mode) — batches committed, Speculate attempts,
-	// attempts beyond a transaction's first, and completed attempts
-	// whose read set failed validation. The harness diffs them across
-	// the measured window into the spec_* CSV columns.
-	Exec                string
-	SpecBatches         uint64
-	SpecExecs           uint64
-	SpecReexecs         uint64
-	SpecValidationFails uint64
-
 	// Commutative hot-key telemetry: total deltas applied (Add ops plus
 	// MAdd entries), how many of those ran on the boosted commutative
 	// path (per-key abstract locks, no STM transaction), and how many
@@ -112,7 +102,7 @@ func (p *StatsPayload) AddSTM(s stm.Stats) {
 
 // ShardTelemetry is one shard's counters inside StatsPayload.ShardStats.
 // Ops counts key-operations routed to the shard (each key of a composed
-// operation counts once; batch mode counts the committed write set).
+// operation counts once).
 // Aborts counts aborted transaction attempts attributed to the shard —
 // a composed operation's aborts land on its first key's shard, so the
 // per-shard sum matches the merged abort counter's growth. HotKeys is a
@@ -137,9 +127,6 @@ const (
 	// StatFlag is an on/off identity flag read through Label: a CSV cell,
 	// and a 0/1 Prometheus gauge (compose_<name>_enabled).
 	StatFlag
-	// StatLabel is an identity string read through Label: a CSV cell only
-	// (/metrics carries identity on compose_server_info).
-	StatLabel
 )
 
 // FlagOn and FlagOff are the two values a StatFlag row's Label returns.
@@ -175,7 +162,7 @@ type Stat[T any] struct {
 	ByCause bool
 	// Field addresses a counter's or gauge's storage; nil otherwise.
 	Field func(*T) *uint64
-	// Label reads a flag's or label's value; nil otherwise.
+	// Label reads a flag's value; nil otherwise.
 	Label func(*T) string
 }
 
@@ -189,11 +176,6 @@ var StatsTable = []Stat[StatsPayload]{
 	{Name: "wal_appends", Help: "WAL records appended.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.WALAppends }},
 	{Name: "wal_syncs", Help: "WAL flush batches fully written.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.WALSyncs }},
 	{Name: "wal_bytes", Help: "Bytes the OS accepted into WAL files.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.WALBytes }},
-	{Name: "exec", Kind: StatLabel, CSV: true, Label: func(p *StatsPayload) string { return p.Exec }},
-	{Name: "spec_batches", Help: "Speculative batches committed.", Field: func(p *StatsPayload) *uint64 { return &p.SpecBatches }},
-	{Name: "spec_execs", Help: "Speculative execution attempts.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.SpecExecs }},
-	{Name: "spec_reexecs", Help: "Speculative attempts beyond a transaction's first.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.SpecReexecs }},
-	{Name: "spec_validation_fails", Help: "Speculative attempts whose read set failed validation.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.SpecValidationFails }},
 	{Name: "adds", Help: "Integer deltas applied (Add ops plus MAdd entries), any path.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.Adds }},
 	{Name: "boosted_ops", Help: "Deltas that ran on the boosted commutative path.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.BoostedOps }},
 	{Name: "hot_promotions", Help: "Keys promoted to the boosted path.", CSV: true, Field: func(p *StatsPayload) *uint64 { return &p.HotPromotions }},
@@ -320,7 +302,6 @@ func AppendStats(dst []byte, p *StatsPayload) []byte {
 	dst = append(dst, statsVersion)
 	dst = appendString(dst, p.Engine)
 	dst = appendString(dst, p.CM)
-	dst = appendString(dst, p.Exec)
 	dst = binary.AppendUvarint(dst, uint64(p.Shards))
 	dst = binary.AppendUvarint(dst, uint64(p.Conns))
 	var walFlag byte
@@ -358,9 +339,6 @@ func (p *StatsPayload) Decode(body []byte) error {
 		return err
 	}
 	if p.CM, b, err = readString(b); err != nil {
-		return err
-	}
-	if p.Exec, b, err = readString(b); err != nil {
 		return err
 	}
 	var u uint64

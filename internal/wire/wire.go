@@ -49,8 +49,7 @@ const (
 	OpPing
 	// OpAdd applies one integer delta: key u64, delta u64 → status only.
 	// A blind commutative write — no read, no returned value — so the
-	// server may execute it on the boosted hot-key path or as a pure
-	// delta entry in the speculative executor.
+	// server may execute it on the boosted hot-key path.
 	OpAdd
 	// OpMAdd applies n deltas as one atomic cross-shard composition:
 	// n u16, n×(key, delta) → status only.

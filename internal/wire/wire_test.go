@@ -215,7 +215,7 @@ func TestDecodeRejections(t *testing.T) {
 // day it is added): a codec, Sub or Add that swaps, skips or doubles a
 // field cannot round-trip it.
 func fullStatsPayload() StatsPayload {
-	p := StatsPayload{Engine: "oestm", CM: "adaptive", Shards: 16, Conns: 3, WALEnabled: true, Exec: "batch"}
+	p := StatsPayload{Engine: "oestm", CM: "adaptive", Shards: 16, Conns: 3, WALEnabled: true}
 	for i := range p.Ops {
 		p.Ops[i].Count = uint64(10 * i)
 		for j := 0; j < i*5; j++ {
@@ -297,7 +297,7 @@ func checkTableCoversFields[T any](t *testing.T, table []Stat[T]) {
 		if (d.Field != nil) == (d.Label != nil) {
 			t.Errorf("row %q must have exactly one of Field and Label", d.Name)
 		}
-		if (d.Label != nil) != (d.Kind == StatFlag || d.Kind == StatLabel) {
+		if (d.Label != nil) != (d.Kind == StatFlag) {
 			t.Errorf("row %q: kind %d does not match its accessor", d.Name, d.Kind)
 		}
 		if d.Field != nil {
@@ -347,7 +347,7 @@ func TestStatsPayloadSubAdd(t *testing.T) {
 	if !reflect.DeepEqual(s1, keep) {
 		t.Fatal("Sub on a by-value copy disturbed the original's shard rows")
 	}
-	if d.Engine != s1.Engine || d.Conns != 9 || !d.WALEnabled || d.Exec != s1.Exec {
+	if d.Engine != s1.Engine || d.Conns != 9 || !d.WALEnabled {
 		t.Fatalf("identity not the later scrape's: %+v", d)
 	}
 	for i := range StatsTable {
